@@ -2,10 +2,10 @@
 
 Tape-style engine: every operation returns a ``Node`` holding the forward
 value plus a closure that maps the output gradient to per-parent gradient
-contributions. The primitive set is exactly what the GCN model and the Gini
-regularizer need; values are at most 2-dimensional and double precision
-throughout. No broadcasting beyond row-wise bias/scale addition and scalar
-(0-d) operands.
+contributions. The primitive set is what the GCN model and the Gini
+regularizer need, plus ``matmul``; values are at most 2-dimensional and
+double precision throughout. No broadcasting beyond row-wise bias/scale
+addition and scalar (0-d) operands.
 
 Subgradient conventions at kinks: relu'(0) = 0, abs'(0) = 0, segment max
 ties route the gradient to the lowest row index.
@@ -13,7 +13,7 @@ ties route the gradient to the lowest row index.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "relu",
     "tanh",
     "absolute",
-    "activation",
     "exp",
     "log",
     "clamp_min",
@@ -40,6 +39,7 @@ __all__ = [
     "concat_cols",
     "slice_rows",
     "reshape",
+    "neighbor_sum",
     "segment_aggregate",
     "batch_norm",
     "reduce",
@@ -242,18 +242,6 @@ def absolute(x) -> Node:
     return Node(out, x.requires_grad, (x,), bw)
 
 
-_ACTIVATIONS = {"relu": relu, "tanh": tanh, "abs": absolute}
-
-
-def activation(x, kind: str) -> Node:
-    """Dispatch to relu / tanh / abs by name."""
-    try:
-        fn = _ACTIVATIONS[kind]
-    except KeyError:
-        raise ValueError(f"unknown activation {kind!r}") from None
-    return fn(x)
-
-
 def exp(x) -> Node:
     """Elementwise exponential."""
     x = _wrap(x)
@@ -348,49 +336,67 @@ def reshape(x, shape) -> Node:
     return Node(out, x.requires_grad, (x,), bw)
 
 
-def _check_segments(segments, n: int):
-    seen = np.concatenate([np.asarray(s, dtype=np.intp) for s in segments]) if segments else np.array([], dtype=np.intp)
-    for s in segments:
-        if len(s) == 0:
-            raise ValueError("segment_aggregate: empty segment")
-    if seen.size != n or not np.array_equal(np.sort(seen), np.arange(n)):
-        raise ValueError("segment_aggregate: segments must partition the rows")
+def _table(x: Node, table) -> np.ndarray:
+    table = np.asarray(table, dtype=np.intp)
+    if x.value.ndim != 2 or table.ndim != 2:
+        raise ShapeError(f"table ops need a 2-d node and table, got {x.shape}, {table.shape}")
+    return table
 
 
-def segment_aggregate(x, segments: Sequence[Sequence[int]], kind: str) -> Node:
-    """Per-segment, per-feature mean or max over rows of a 2-d node.
+def _gather(v: np.ndarray, table: np.ndarray, fill: float = 0.0) -> np.ndarray:
+    # (table rows, slots, features); the padding index len(v) reads fill.
+    return np.concatenate([v, np.full((1, v.shape[1]), fill)])[table]
 
-    Segments must partition the row indices and be nonempty. Max routes the
-    gradient to the argmax row only, ties broken toward the lowest row index.
+
+def neighbor_sum(x, table) -> Node:
+    """Row i of the output sums the rows of x listed in table[i], padded with len(x).
+
+    The listing must be symmetric (j in row i exactly when i is in row j), as
+    for atoms and their bonded neighbours, so backward sums the gradient alike.
     """
     x = _wrap(x)
-    if x.value.ndim != 2:
-        raise ShapeError("segment_aggregate operates on 2-d nodes")
-    if kind not in ("mean", "max"):
-        raise ValueError(f"unknown aggregation {kind!r}")
-    _check_segments(segments, x.shape[0])
-    # Ascending order inside each segment fixes the tie-break row.
-    rows = [np.sort(np.asarray(s, dtype=np.intp)) for s in segments]
-    d = x.shape[1]
-    out = np.empty((len(rows), d))
-    argmax = []
-    for k, r in enumerate(rows):
-        block = x.value[r]
-        if kind == "mean":
-            out[k] = block.mean(axis=0)
-        else:
-            top = block.argmax(axis=0)  # first occurrence = lowest row index
-            argmax.append(top)
-            out[k] = block[top, np.arange(d)]
+    table = _table(x, table)
+    if table.shape[0] != x.shape[0]:
+        raise ShapeError(f"neighbor_sum: {table.shape[0]} table rows for {x.shape[0]} rows")
+    # Slots add left to right; ascending rows match the dense (A + I) @ x sum order bit for bit.
+    out = _gather(x.value, table).sum(axis=1)
 
     def bw(g):
-        gx = np.zeros_like(x.value)
-        for k, r in enumerate(rows):
-            if kind == "mean":
-                gx[r] += g[k] / len(r)
-            else:
-                gx[r[argmax[k]], np.arange(d)] += g[k]
-        return (gx,)
+        return (_gather(g, table).sum(axis=1),)
+
+    return Node(out, x.requires_grad, (x,), bw)
+
+
+def segment_aggregate(x, table, kind: str) -> Node:
+    """Per-segment, per-feature mean or max over rows of a 2-d node.
+
+    Row k of ``table`` lists the rows of segment k, padded with ``len(x)``;
+    segments must be nonempty and disjoint. Max routes the gradient to the
+    argmax row only, ties broken toward the lowest row index.
+    """
+    x = _wrap(x)
+    table = _table(x, table)
+    n, d = x.shape
+    counts = (table < n).sum(axis=1, keepdims=True)
+    if not counts.all():
+        raise ValueError("segment_aggregate: empty segment")
+    if kind == "mean":
+        out = _gather(x.value, table).sum(axis=1) / counts
+    elif kind == "max":
+        vals = _gather(x.value, table, -np.inf)
+        out = vals.max(axis=1)
+    else:
+        raise ValueError(f"unknown aggregation {kind!r}")
+
+    def bw(g):
+        gx = np.zeros((n + 1, d))
+        if kind == "mean":
+            gx[table] += (g / counts)[:, None, :]
+        else:
+            # Lowest row holding the maximum, whatever order the slots list it in.
+            top = np.where(vals == out[:, None, :], table[:, :, None], n).min(axis=1)
+            gx[top, np.arange(d)] += g
+        return (gx[:n],)
 
     return Node(out, x.requires_grad, (x,), bw)
 

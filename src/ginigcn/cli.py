@@ -294,7 +294,17 @@ def _selftest_checks():
         err = ad.grad_check(
             lambda n: ad.reduce(ad.linear(n, ad.constant(w), ad.constant(b)), "sum"), x
         )
-        return err < 1e-6
+        if err > 1e-6:
+            return False
+        # path 0-1-2 plus a lone atom 3, as one molecule of three and one of one;
+        # index 4 (the row count) is padding
+        neighbors = [[0, 1, 4], [0, 1, 2], [1, 2, 4], [3, 4, 4]]
+        atoms = [[0, 1, 2], [3, 4, 4]]
+        ops = [lambda n: ad.neighbor_sum(n, neighbors),
+               lambda n: ad.segment_aggregate(n, atoms, "mean"),
+               lambda n: ad.segment_aggregate(n, atoms, "max")]
+        return all(ad.grad_check(lambda n: ad.reduce(ad.tanh(op(n)), "sum"), x) < 1e-6
+                   for op in ops)
 
     yield "primitive gradients", _grad_checks
 

@@ -38,15 +38,12 @@ class GiniConfig:
 
     m: float = 10.0
     g_floor: float = 1e-6
-    block_combine: str = "geometric_mean"
 
     def __post_init__(self):
         if self.m < 0:
             raise ValueError("m must be nonnegative")
         if not 0.0 < self.g_floor < 1.0:
             raise ValueError("g_floor must lie in (0, 1)")
-        if self.block_combine != "geometric_mean":
-            raise ValueError("only geometric_mean block combination is supported")
 
 
 @dataclass

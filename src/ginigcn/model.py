@@ -16,7 +16,7 @@ fingerprint and the output layer.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -79,14 +79,7 @@ class ModelConfig:
         return len(self.targets)
 
     def to_dict(self) -> dict:
-        return {
-            "targets": list(self.targets),
-            "variant": self.variant,
-            "num_conv_layers": self.num_conv_layers,
-            "conv_hidden": self.conv_hidden,
-            "intermediate_dim": self.intermediate_dim,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -96,58 +89,59 @@ class BatchForward:
     output: ad.Node          # (molecules, targets)
     fingerprint: ad.Node     # (molecules, 2 * conv_hidden)
     node_reps: ad.Node       # (atoms, conv_hidden), last-conv outputs (post-ReLU, pre-tanh)
-    segments: list[list[int]]
 
 
-def conv_forward(
-    h: ad.Node,
-    adjacency_with_self: np.ndarray,
-    weight: ad.Node,
-    bias: ad.Node,
-    bn_state: ad.BatchNormState,
-    mode: str,
-) -> ad.Node:
+def conv_forward(h: ad.Node, neighbors: np.ndarray, weight: ad.Node, bias: ad.Node,
+                 bn_state: ad.BatchNormState, mode: str) -> ad.Node:
     """One fingerprint convolution: ReLU(BN(W (h_v + sum of neighbors) + b)).
 
-    ``adjacency_with_self`` is the (n, n) 0/1 adjacency matrix plus identity,
-    so the matrix product forms the self-plus-neighbor sums for all atoms.
+    Row v of the ``neighbors`` table lists atom v and its bonded neighbors in
+    ascending order, padded with the atom count.
     """
-    agg = ad.matmul(ad.constant(adjacency_with_self), h)
+    agg = ad.neighbor_sum(h, neighbors)
     pre = ad.linear(agg, weight, bias)
     return ad.relu(ad.batch_norm(pre, bn_state, mode))
 
 
-def fingerprint(node_reps: ad.Node, segments) -> ad.Node:
+def fingerprint(node_reps: ad.Node, atoms: np.ndarray) -> ad.Node:
     """Per-molecule [tanh(mean of reps) || tanh(max of reps)].
 
-    tanh is applied after aggregation, so output-layer terms w * tanh(f(x))
-    sum exactly to the prediction minus the bias.
+    Row k of the ``atoms`` table lists molecule k's atom rows, padded with
+    the atom count. tanh is applied after aggregation, so output-layer terms
+    w * tanh(f(x)) sum exactly to the prediction minus the bias.
     """
-    mean_part = ad.tanh(ad.segment_aggregate(node_reps, segments, "mean"))
-    max_part = ad.tanh(ad.segment_aggregate(node_reps, segments, "max"))
+    mean_part = ad.tanh(ad.segment_aggregate(node_reps, atoms, "mean"))
+    max_part = ad.tanh(ad.segment_aggregate(node_reps, atoms, "max"))
     return ad.concat_cols(mean_part, max_part)
 
 
+def _padded(rows, fill: int) -> np.ndarray:
+    # One table row per list: its entries ascending, then fill up to the widest.
+    width = max(map(len, rows))
+    flat = [v for r in rows for v in sorted(r) + [fill] * (width - len(r))]
+    return np.array(flat, dtype=np.intp).reshape(len(rows), width)
+
+
 def _batch_inputs(graphs: list[MolecularGraph]):
-    """Stack node features and build the block-diagonal self+neighbor matrix."""
+    """Stacked node features plus the index tables ``neighbors`` and ``atoms``.
+
+    ``neighbors`` lists each atom and its bonded neighbors, ``atoms`` each
+    molecule's atom rows; both in ascending order, padded with the atom count.
+    """
     if not graphs:
         raise ValueError("empty batch")
-    feats = [featurize(g) for g in graphs]
-    sizes = [f.shape[0] for f in feats]
-    total = sum(sizes)
-    x = np.vstack(feats)
-    adj = np.zeros((total, total))
-    segments = []
+    x = np.vstack([featurize(g) for g in graphs])
+    n = x.shape[0]
+    neighbors = [[v] for v in range(n)]
+    members = []
     offset = 0
-    for g, size in zip(graphs, sizes):
-        rows = list(range(offset, offset + size))
-        segments.append(rows)
+    for g in graphs:
         for i, j, _ in g.bonds:
-            adj[offset + i, offset + j] = 1.0
-            adj[offset + j, offset + i] = 1.0
-        offset += size
-    adj[np.arange(total), np.arange(total)] = 1.0
-    return x, adj, segments
+            neighbors[offset + i].append(offset + j)
+            neighbors[offset + j].append(offset + i)
+        members.append(range(offset, offset + g.num_atoms))
+        offset += g.num_atoms
+    return x, _padded(neighbors, n), _padded(members, n)
 
 
 class Model:
@@ -203,19 +197,18 @@ class Model:
 
     def forward_batch(self, graphs: list[MolecularGraph], mode: str = "eval") -> BatchForward:
         """Run the full network over a batch of molecules."""
-        x, adj, segments = _batch_inputs(graphs)
+        x, neighbors, atoms = _batch_inputs(graphs)
         h = ad.constant(x)
         for ell in range(self.config.num_conv_layers):
-            h = conv_forward(h, adj, self.conv_weights[ell], self.conv_biases[ell],
+            h = conv_forward(h, neighbors, self.conv_weights[ell], self.conv_biases[ell],
                              self.conv_bn[ell], mode)
-        fp = fingerprint(h, segments)
+        fp = fingerprint(h, atoms)
+        head = fp
         if self.config.variant == VARIANT_REFERENCE:
-            mid = ad.relu(ad.batch_norm(ad.linear(fp, self.mid_weight, self.mid_bias),
-                                        self.mid_bn, mode))
-            out = ad.linear(mid, self.out_weight, self.out_bias)
-        else:
-            out = ad.linear(fp, self.out_weight, self.out_bias)
-        return BatchForward(output=out, fingerprint=fp, node_reps=h, segments=segments)
+            head = ad.relu(ad.batch_norm(ad.linear(fp, self.mid_weight, self.mid_bias),
+                                         self.mid_bn, mode))
+        out = ad.linear(head, self.out_weight, self.out_bias)
+        return BatchForward(output=out, fingerprint=fp, node_reps=h)
 
     def predict(self, graphs: list[MolecularGraph], mode: str = "eval") -> np.ndarray:
         """Prediction matrix (molecules, targets); column j is targets[j]."""
@@ -250,26 +243,31 @@ def init_model(config: ModelConfig) -> Model:
 
 def checkpoint_document(model: Model) -> dict:
     """JSON-serializable snapshot; write -> read round trips bit-exact."""
-    params = {}
-    for name, node in model.named_parameters():
-        params[name] = {
-            "shape": list(node.value.shape),
-            "data": node.value.ravel().tolist(),
-        }
-    bn = {}
-    for name, state in model.batch_norm_states():
-        bn[name] = {
-            "running_mean": state.running_mean.tolist(),
-            "running_var": state.running_var.tolist(),
-            "momentum": state.momentum,
-            "epsilon": state.epsilon,
-        }
+    params = {name: {"shape": list(node.value.shape), "data": node.value.ravel().tolist()}
+              for name, node in model.named_parameters()}
+    bn = {name: {"running_mean": state.running_mean.tolist(),
+                 "running_var": state.running_var.tolist(),
+                 "momentum": state.momentum, "epsilon": state.epsilon}
+          for name, state in model.batch_norm_states()}
     return {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config": model.config.to_dict(),
         "parameters": params,
         "batch_norm": bn,
     }
+
+
+def _finite_array(entry, key: str, what: str, shape: tuple) -> np.ndarray:
+    # entry[key] as a float64 array of the given shape with every value finite.
+    try:
+        arr = np.asarray(entry[key], dtype=np.float64)
+    except (KeyError, TypeError, ValueError):
+        raise CheckpointError(f"{what} needs a numeric {key!r} field") from None
+    if not np.isfinite(arr).all():
+        raise CheckpointError(f"{what} has non-finite {key!r} values")
+    if arr.shape != shape:
+        raise CheckpointError(f"{what} has {key!r} of shape {arr.shape}, expected {shape}")
+    return arr
 
 
 def model_from_document(doc: dict) -> Model:
@@ -288,25 +286,20 @@ def model_from_document(doc: dict) -> Model:
     for name, node in model.named_parameters():
         if name not in params:
             raise CheckpointError(f"checkpoint missing parameter {name!r}")
-        entry = params[name]
-        arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        if arr.shape != node.value.shape:
-            raise CheckpointError(
-                f"parameter {name!r} has shape {arr.shape}, expected {node.value.shape}"
-            )
-        node.value = arr
+        entry, what, shape = params[name], f"parameter {name!r}", node.value.shape
+        if tuple(_finite_array(entry, "shape", what, (len(shape),))) != shape:
+            raise CheckpointError(f"{what} has shape {entry['shape']}, expected {shape}")
+        node.value = _finite_array(entry, "data", what, (node.value.size,)).reshape(shape)
         node.zero_grad()
     bn = doc.get("batch_norm", {})
     for name, state in model.batch_norm_states():
         if name not in bn:
             raise CheckpointError(f"checkpoint missing batch_norm state {name!r}")
-        entry = bn[name]
-        state.running_mean = np.asarray(entry["running_mean"], dtype=np.float64)
-        state.running_var = np.asarray(entry["running_var"], dtype=np.float64)
-        state.momentum = float(entry["momentum"])
-        state.epsilon = float(entry["epsilon"])
-        if state.running_mean.shape != (state.dim,) or state.running_var.shape != (state.dim,):
-            raise CheckpointError(f"batch_norm state {name!r} has wrong shape")
+        entry, what = bn[name], f"batch_norm state {name!r}"
+        state.running_mean = _finite_array(entry, "running_mean", what, (state.dim,))
+        state.running_var = _finite_array(entry, "running_var", what, (state.dim,))
+        state.momentum = float(_finite_array(entry, "momentum", what, ()))
+        state.epsilon = float(_finite_array(entry, "epsilon", what, ()))
         if np.any(state.running_var < 0):
             raise CheckpointError(f"batch_norm state {name!r} has negative running variance")
     return model

@@ -120,6 +120,13 @@ def _atom_from_record(rec, where: str) -> Atom:
     return Atom(element=rec["element"], implicit_hydrogens=h, aromatic=bool(rec.get("aromatic", False)))
 
 
+def _number(v, where: str, what: str) -> float:
+    try:
+        return float(v)
+    except (TypeError, ValueError):
+        raise MoleculeError(f"{where}: {what} must be a number, got {v!r}") from None
+
+
 def _graph_from_record(rec: dict, where: str) -> MolecularGraph:
     if not isinstance(rec, dict):
         raise MoleculeError(f"{where}: record must be an object")
@@ -139,12 +146,13 @@ def _graph_from_record(rec: dict, where: str) -> MolecularGraph:
     targets = rec.get("targets", {})
     if not isinstance(targets, dict):
         raise MoleculeError(f"{where}: targets must be an object")
-    targets = {str(k): float(v) for k, v in targets.items()}
+    targets = {str(k): _number(v, where, f"target {k!r}") for k, v in targets.items()}
     fukui = rec.get("fukui")
     if fukui is not None:
         if not isinstance(fukui, list) or any(not isinstance(p, list) or len(p) != 2 for p in fukui):
             raise MoleculeError(f"{where}: fukui must be an array of [f_minus, f_plus] pairs")
-        fukui = [(float(p[0]), float(p[1])) for p in fukui]
+        fukui = [(_number(p[0], where, "fukui value"), _number(p[1], where, "fukui value"))
+                 for p in fukui]
     try:
         return MolecularGraph(id=rec["id"], atoms=atoms, bonds=bonds, targets=targets, fukui=fukui)
     except MoleculeError as e:

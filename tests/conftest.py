@@ -60,7 +60,7 @@ class PackedLoss:
             self.spans.append((name, offset, offset + size, p.value.shape))
             offset += size
         self.size = offset
-        self.x, self.adj, self.segments = _batch_inputs(graphs)
+        self.x, self.neighbors, self.atoms = _batch_inputs(graphs)
         y, self.mask = target_matrix(graphs, config.targets)
         _, self.z = standardize_targets(y, self.mask, config.targets)
         self.diagnostics = {}
@@ -82,7 +82,7 @@ class PackedLoss:
         max_gap_margin = np.inf
         h = ad.constant(self.x)
         for ell in range(cfg.num_conv_layers):
-            agg = ad.matmul(ad.constant(self.adj), h)
+            agg = ad.neighbor_sum(h, self.neighbors)
             pre = ad.linear(agg, pieces[f"conv{ell}.weight"], pieces[f"conv{ell}.bias"])
             state = ad.BatchNormState(cfg.conv_hidden)
             state.gamma = pieces[f"conv{ell}.gamma"]
@@ -90,7 +90,8 @@ class PackedLoss:
             bn_out = ad.batch_norm(pre, state, "train")
             bn_margin = min(bn_margin, float(np.abs(bn_out.value).min()))
             h = ad.relu(bn_out)
-        for seg in self.segments:
+        for row in self.atoms:
+            seg = row[row < len(self.x)]
             if len(seg) > 1:
                 block = h.value[seg]
                 # exact ties (symmetric atoms, dead relus) move in lockstep
@@ -102,8 +103,8 @@ class PackedLoss:
                     below = col[col < v1]
                     if below.size and below.max() > 0.0:
                         max_gap_margin = min(max_gap_margin, float(v1 - below.max()))
-        fp_mean = ad.tanh(ad.segment_aggregate(h, self.segments, "mean"))
-        fp_max = ad.tanh(ad.segment_aggregate(h, self.segments, "max"))
+        fp_mean = ad.tanh(ad.segment_aggregate(h, self.atoms, "mean"))
+        fp_max = ad.tanh(ad.segment_aggregate(h, self.atoms, "max"))
         fp = ad.concat_cols(fp_mean, fp_max)
         out = ad.linear(fp, pieces["output.weight"], pieces["output.bias"])
         raw = multitask_loss(out, self.z, self.mask)

@@ -64,14 +64,6 @@ def test_abs_subgradient_zero():
     assert x.grad[0] == 0.0
 
 
-def test_activation_dispatch():
-    x = ad.constant([-2.0, 3.0])
-    assert np.array_equal(ad.activation(x, "relu").value, [0.0, 3.0])
-    assert np.array_equal(ad.activation(x, "abs").value, [2.0, 3.0])
-    with pytest.raises(ValueError):
-        ad.activation(x, "sigmoid")
-
-
 def test_segment_mean_single():
     x = ad.constant([[1.0], [3.0]])
     out = ad.segment_aggregate(x, [[0, 1]], "mean")
@@ -80,7 +72,7 @@ def test_segment_mean_single():
 
 def test_segment_mean_two_segments():
     x = ad.constant([[1.0], [2.0], [4.0]])
-    out = ad.segment_aggregate(x, [[0], [1, 2]], "mean")
+    out = ad.segment_aggregate(x, [[0, 3], [1, 2]], "mean")  # 3 = padding
     assert np.array_equal(out.value, [[1.0], [3.0]])
 
 
@@ -101,10 +93,12 @@ def test_segment_max_tie_break_independent_of_listing_order():
 
 def test_segment_errors():
     x = ad.constant(np.zeros((3, 1)))
-    with pytest.raises(ValueError):
-        ad.segment_aggregate(x, [[0, 1, 2], []], "mean")
-    with pytest.raises(ValueError):
-        ad.segment_aggregate(x, [[0, 1]], "mean")  # not a partition
+    with pytest.raises(ValueError, match="empty segment"):
+        ad.segment_aggregate(x, [[0, 1, 2], [3, 3, 3]], "mean")  # all padding
+    with pytest.raises(ValueError, match="unknown aggregation"):
+        ad.segment_aggregate(x, [[0, 1, 2]], "median")
+    with pytest.raises(ad.ShapeError):
+        ad.segment_aggregate(x, [0, 1, 2], "max")  # not a table
 
 
 def test_batch_norm_constant_column():
@@ -342,9 +336,19 @@ def _f_slice(rng):
     )
 
 
+@case("neighbor_sum")
+def _f_neighbor_sum(rng):
+    table = [[0, 1, 2], [0, 1, 2], [0, 1, 2], [3, 4, 5], [3, 4, 5]]  # ring + pair, 5 = padding
+    scale = rng.normal(size=(5, 2))
+    return (
+        lambda x: ad.reduce(ad.mul(ad.neighbor_sum(x, table), ad.constant(scale)), "sum"),
+        rng.normal(size=(5, 2)),
+    )
+
+
 @case("segment_mean")
 def _f_segmean(rng):
-    segs = [[0, 2], [1], [3, 4]]
+    segs = [[0, 2], [1, 5], [3, 4]]  # 5 = padding
     scale = rng.normal(size=(3, 2))
     return (
         lambda x: ad.reduce(ad.mul(ad.segment_aggregate(x, segs, "mean"), ad.constant(scale)), "sum"),
@@ -354,7 +358,7 @@ def _f_segmean(rng):
 
 @case("segment_max")
 def _f_segmax(rng):
-    segs = [[0, 2], [1, 3, 4]]
+    segs = [[0, 2, 5], [1, 3, 4]]  # 5 = padding
     scale = rng.normal(size=(2, 2))
 
     def sample():
@@ -362,6 +366,7 @@ def _f_segmax(rng):
             x = rng.normal(size=(5, 2))
             gaps = []
             for s in segs:
+                s = [r for r in s if r < 5]
                 vals = np.sort(x[s], axis=0)
                 if len(s) > 1:
                     gaps.append((vals[-1] - vals[-2]).min())

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ginigcn.cli import main
-from ginigcn.model import load_checkpoint
+from ginigcn.model import ModelConfig, checkpoint_document, init_model, load_checkpoint
 from ginigcn.molecules import load_dataset, write_dataset
 from ginigcn.toydata import ToySpec, generate_graphs
 
@@ -224,3 +224,40 @@ def test_bad_flag_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["train", "--bogus"])
     assert exc.value.code == 1
+
+
+def untrained_checkpoint():
+    model = init_model(ModelConfig(targets=["size"], conv_hidden=2, num_conv_layers=1, seed=0))
+    return checkpoint_document(model)
+
+
+@pytest.mark.parametrize("damage", ["no_data", "no_shape", "nan_weight", "inf_running_var"])
+def test_gini_report_malformed_checkpoint_exits_1(tmp_path, capsys, damage):
+    doc = untrained_checkpoint()
+    if damage == "no_data":
+        del doc["parameters"]["output.weight"]["data"]
+    elif damage == "no_shape":
+        del doc["parameters"]["conv0.weight"]["shape"]
+    elif damage == "nan_weight":
+        doc["parameters"]["output.weight"]["data"][0] = float("nan")
+    else:
+        doc["batch_norm"]["conv0"]["running_var"][1] = float("inf")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["gini-report", "--checkpoint", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field", ['"targets": {"size": null}', '"fukui": [[0.1, null]]'])
+def test_explain_null_dataset_value_exits_1(tmp_path, capsys, field):
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(json.dumps(untrained_checkpoint()))
+    dataset = tmp_path / "data.jsonl"
+    dataset.write_text('{"id": "m", "atoms": [{"element": "C"}], ' + field + "}\n")
+    code = main(["explain", "--checkpoint", str(ckpt), "--dataset", str(dataset),
+                 "--target", "size", "--ids", "m"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1: ") and err.count("\n") == 1

@@ -256,5 +256,3 @@ def test_config_validation():
         GiniConfig(m=-1.0)
     with pytest.raises(ValueError):
         GiniConfig(g_floor=0.0)
-    with pytest.raises(ValueError):
-        GiniConfig(block_combine="sum")

@@ -1,6 +1,7 @@
 """Model construction, forward semantics, and checkpoint round trips."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from ginigcn.model import (
     fingerprint,
     init_model,
     model_from_document,
+    _batch_inputs,
 )
 from ginigcn.molecules import MolecularGraph, parse_smiles_subset
 from ginigcn.toydata import ToySpec, generate_graphs
@@ -102,21 +104,20 @@ def make_identity_bn(dim):
 def test_conv_isolated_atom():
     # no neighbors: h' = relu(bn(W h + b))
     h = ad.constant([[2.0]])
-    adj = np.eye(1)
+    neighbors = np.array([[0]])
     w = ad.constant([[3.0]])
     b = ad.constant([0.5])
-    out = conv_forward(h, adj, w, b, make_identity_bn(1), "eval")
+    out = conv_forward(h, neighbors, w, b, make_identity_bn(1), "eval")
     assert np.allclose(out.value, [[6.5]], atol=1e-12)
 
 
 def test_conv_symmetric_pair():
-    g = parse_smiles_subset("CC")
+    _, neighbors, _ = _batch_inputs([parse_smiles_subset("CC")])
     h = ad.constant(np.ones((2, 3)))
-    adj = np.ones((2, 2))
     rng = np.random.default_rng(0)
     w = ad.constant(rng.normal(size=(3, 4)))
     b = ad.constant(rng.normal(size=4))
-    out = conv_forward(h, adj, w, b, make_identity_bn(4), "eval")
+    out = conv_forward(h, neighbors, w, b, make_identity_bn(4), "eval")
     assert np.allclose(out.value[0], out.value[1])
 
 
@@ -124,10 +125,48 @@ def test_conv_three_atom_path_hand_values():
     # path 0-1-2, 1-dim reps [1, 2, 3], W = [[2]], b = [0.5]
     # self+neighbor sums: [3, 6, 5] -> affine: [6.5, 12.5, 10.5] -> bn(identity) -> relu
     h = ad.constant([[1.0], [2.0], [3.0]])
-    adj = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
-    out = conv_forward(h, adj, ad.constant([[2.0]]), ad.constant([0.5]),
+    neighbors = np.array([[0, 1, 3], [0, 1, 2], [1, 2, 3]])  # 3 = padding
+    out = conv_forward(h, neighbors, ad.constant([[2.0]]), ad.constant([0.5]),
                        make_identity_bn(1), "eval")
     assert np.allclose(out.value, [[6.5], [12.5], [10.5]], atol=1e-12)
+
+
+# ------------------------------------------------------------ batch tables
+
+
+def dense_self_adjacency(graphs):
+    """Block-diagonal (A + I) over the batch, built straight from the bonds."""
+    sizes = [g.num_atoms for g in graphs]
+    a = np.eye(sum(sizes))
+    offset = 0
+    for g, size in zip(graphs, sizes):
+        for i, j, _ in g.bonds:
+            a[offset + i, offset + j] = a[offset + j, offset + i] = 1.0
+        offset += size
+    return a
+
+
+@pytest.mark.parametrize("smiles", [
+    ["C1CCCCC1"],            # ring
+    ["CC(C)(C)CC(C)O"],      # branches
+    ["C"],                   # isolated atom
+    ["C1CC1", "CC(O)C"],     # two molecules
+])
+def test_neighbor_sum_matches_dense_product(smiles):
+    graphs = [parse_smiles_subset(s) for s in smiles]
+    x, neighbors, atoms = _batch_inputs(graphs)
+    n = x.shape[0]
+    h = np.random.default_rng(3).normal(size=(n, 5))
+    a = dense_self_adjacency(graphs)
+    out = ad.neighbor_sum(ad.constant(h), neighbors).value
+    assert np.allclose(out, a @ h, rtol=0.0, atol=1e-12)
+    # each row adds its atoms left to right in ascending order
+    loop = np.array([sum(h[j] for j in np.flatnonzero(a[i])) for i in range(n)])
+    assert np.array_equal(out, loop)
+    # the molecule table lists every atom once, ascending, padded with n
+    real = atoms[atoms < n]
+    assert np.array_equal(real, np.arange(n))
+    assert [int((row < n).sum()) for row in atoms] == [g.num_atoms for g in graphs]
 
 
 # ------------------------------------------------------------- fingerprint
@@ -216,6 +255,24 @@ def test_reference_variant_forward_runs():
     assert model.predict(graphs).shape == (6, 1)
 
 
+def test_predict_memory_linear_in_atoms():
+    # peak traced allocation per atom stays flat as the batch doubles; a dense
+    # atoms x atoms layout grows it in proportion to the batch
+    model = init_model(ModelConfig(targets=["size"], conv_hidden=64, num_conv_layers=3, seed=0))
+    per_atom = []
+    for count in (250, 500):
+        graphs = generate_graphs(ToySpec(num_molecules=count, seed=8))
+        atoms = sum(g.num_atoms for g in graphs)
+        tracemalloc.start()
+        try:
+            model.predict(graphs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        per_atom.append(peak / atoms)
+    assert per_atom[1] < 1.2 * per_atom[0], per_atom
+
+
 def test_empty_batch_rejected():
     model = init_model(ModelConfig(targets=["a"], conv_hidden=2, num_conv_layers=1))
     with pytest.raises(ValueError):
@@ -255,3 +312,26 @@ def test_checkpoint_rejects_missing_parameter():
     del doc["parameters"]["output.weight"]
     with pytest.raises(CheckpointError):
         model_from_document(doc)
+
+
+def test_checkpoint_rejects_parameter_entry_without_data_or_shape():
+    model = init_model(ModelConfig(targets=["a"], conv_hidden=2, num_conv_layers=1))
+    for key in ("data", "shape"):
+        doc = checkpoint_document(model)
+        del doc["parameters"]["conv0.weight"][key]
+        with pytest.raises(CheckpointError, match=key):
+            model_from_document(doc)
+
+
+@pytest.mark.parametrize("section, name, key", [
+    ("parameters", "output.weight", "data"),
+    ("batch_norm", "conv0", "running_mean"),
+    ("batch_norm", "conv0", "running_var"),
+])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_checkpoint_rejects_non_finite_values(section, name, key, bad):
+    model = init_model(ModelConfig(targets=["a"], conv_hidden=2, num_conv_layers=1))
+    doc = json.loads(json.dumps(checkpoint_document(model)))
+    doc[section][name][key][0] = bad
+    with pytest.raises(CheckpointError, match="non-finite"):
+        model_from_document(json.loads(json.dumps(doc)))

@@ -60,6 +60,19 @@ def test_malformed_record_reports_line():
         parse_graph_file(text)
 
 
+@pytest.mark.parametrize("field", [
+    '"targets": {"size": null}',
+    '"targets": {"size": "big"}',
+    '"fukui": [[0.1, null]]',
+    '"fukui": [["x", 0.2]]',
+])
+def test_non_numeric_value_reports_line(field):
+    good = '{"id": "a", "atoms": [{"element": "C"}]}'
+    bad = '{"id": "b", "atoms": [{"element": "C"}], ' + field + '}'
+    with pytest.raises(MoleculeError, match="line 3: .* must be a number"):
+        parse_graph_file(good + "\n\n" + bad + "\n")
+
+
 def test_unsupported_element():
     text = '{"id": "m", "atoms": [{"element": "Cl"}], "bonds": [], "targets": {}}'
     with pytest.raises(MoleculeError, match="unsupported element"):
