@@ -94,17 +94,14 @@ def _decompose(model: Model, graph: MolecularGraph, target: str):
     phi = fwd.fingerprint.value[0]
     weights = model.out_weight.value[:, j]
     h = model.config.conv_hidden
+    values = weights * phi
+    order = np.argsort(-np.abs(values), kind="stable")  # largest |value| first, ties by index
     terms = [
-        AttributionTerm(
-            index=i,
-            block=BLOCK_MEAN if i < h else BLOCK_MAX,
-            weight=float(weights[i]),
-            activation=float(phi[i]),
-            value=float(weights[i] * phi[i]),
-        )
-        for i in range(2 * h)
+        AttributionTerm(index=i, block=BLOCK_MEAN if i < h else BLOCK_MAX, weight=w, activation=a,
+                        value=v)
+        for i, w, a, v in zip(order.tolist(), weights[order].tolist(), phi[order].tolist(),
+                              values[order].tolist())
     ]
-    terms.sort(key=lambda t: -abs(t.value))
     amap = AttributionMap(
         molecule_id=graph.id,
         target=target,
@@ -138,21 +135,27 @@ def per_atom_map(model: Model, graph: MolecularGraph, target: str) -> Attributio
     scores = share @ (w[:h] * np.tanh(mean))
     winners = x.argmax(axis=0)                    # first occurrence = lowest index
     np.add.at(scores, winners, w[h:] * np.tanh(x[winners, np.arange(h)]))
-    amap.atom_scores = [float(s) for s in scores]
+    amap.atom_scores = scores.tolist()
     return amap
 
 
-def concentration_count(values, mass_fraction: float) -> int:
-    """Smallest count of the largest |values| holding mass_fraction of the total."""
+def _by_magnitude(values, mass_fraction: float):
+    # (count, order): order ranks |values| descending, ties toward the lower
+    # index, and its first count entries hold mass_fraction of the total.
     if not 0.0 < mass_fraction <= 1.0:
         raise ValueError("mass_fraction must lie in (0, 1]")
     mags = np.abs(np.asarray(values, dtype=np.float64).ravel())
     total = mags.sum()
     if total == 0.0:
         raise ValueError("all weights are zero")
-    order = np.lexsort((np.arange(mags.size), -mags))  # by magnitude desc, ties by index
+    order = np.lexsort((np.arange(mags.size), -mags))
     csum = np.cumsum(mags[order])
-    return int(np.searchsorted(csum, mass_fraction * csum[-1], side="left")) + 1
+    return int(np.searchsorted(csum, mass_fraction * csum[-1], side="left")) + 1, order
+
+
+def concentration_count(values, mass_fraction: float) -> int:
+    """Smallest count of the largest |values| holding mass_fraction of the total."""
+    return _by_magnitude(values, mass_fraction)[0]
 
 
 def top_representations(model: Model, target: str, mass_fraction: float = 0.9) -> list[int]:
@@ -163,10 +166,8 @@ def top_representations(model: Model, target: str, mass_fraction: float = 0.9) -
     """
     _require_explainable(model)
     j = _target_index(model, target)
-    col = np.abs(model.out_weight.value[:, j])
-    count = concentration_count(col, mass_fraction)
-    order = np.lexsort((np.arange(col.size), -col))
-    return [int(i) for i in order[:count]]
+    count, order = _by_magnitude(model.out_weight.value[:, j], mass_fraction)
+    return order[:count].tolist()
 
 
 def condensed_fukui(rho_n, rho_n_minus, rho_n_plus) -> FukuiRecord:

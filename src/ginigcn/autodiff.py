@@ -2,7 +2,9 @@
 
 Tape-style engine: every operation returns a ``Node`` holding the forward
 value plus a closure that maps the output gradient to per-parent gradient
-contributions. The primitive set is what the GCN model and the Gini
+contributions. Only trainable leaves (parameters) hold a ``grad`` buffer;
+:func:`backward` passes gradients through intermediate nodes without
+storing them. The primitive set is what the GCN model and the Gini
 regularizer need, plus ``matmul``; values are at most 2-dimensional and
 double precision throughout. No broadcasting beyond row-wise bias/scale
 addition and scalar (0-d) operands.
@@ -53,11 +55,14 @@ class ShapeError(ValueError):
 
 
 class Node:
-    """A tensor in the computation graph with a same-shape gradient slot.
+    """A tensor in the computation graph.
 
-    ``grad`` accumulates across :func:`backward` calls until reset with
-    :meth:`zero_grad`. Graphs are acyclic by construction (operations only
-    ever link to previously created nodes).
+    A trainable leaf (``requires_grad`` and no parents) holds a same-shape
+    ``grad`` buffer that accumulates across :func:`backward` calls until reset
+    with :meth:`zero_grad`. Every other node's ``grad`` is ``None``:
+    intermediates pass their gradient through to their parents. Graphs are
+    acyclic by construction (operations only ever link to previously created
+    nodes).
     """
 
     __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward")
@@ -67,9 +72,9 @@ class Node:
         if arr.ndim > 2:
             raise ShapeError(f"tensors are limited to 2 dims, got shape {arr.shape}")
         self.value = arr
-        self.grad = np.zeros_like(arr)
         self.requires_grad = bool(requires_grad)
         self._parents = tuple(parents)
+        self.grad = np.zeros_like(arr) if self.requires_grad and not self._parents else None
         self._backward = backward
 
     @property
@@ -504,10 +509,11 @@ def reduce(x, kind: str) -> Node:
 
 
 def backward(root: Node) -> None:
-    """Populate gradients of all requires_grad ancestors of a scalar root.
+    """Populate gradients of all trainable leaves reachable from a scalar root.
 
-    Each call adds this pass's derivatives into the persistent ``grad``
-    buffers, so repeated calls without :meth:`Node.zero_grad` accumulate.
+    Each call adds this pass's derivatives into the leaves' persistent
+    ``grad`` buffers, so repeated calls without :meth:`Node.zero_grad`
+    accumulate. Intermediate nodes keep ``grad = None``.
     """
     if root.value.shape != ():
         raise ShapeError(f"backward requires a scalar root, got shape {root.value.shape}")
@@ -535,8 +541,8 @@ def backward(root: Node) -> None:
         g = gmap.pop(id(node), None)
         if g is None:
             continue
-        node.grad = node.grad + g
-        if node._backward is None:
+        if not node._parents:
+            node.grad = node.grad + g
             continue
         for p, pg in zip(node._parents, node._backward(g)):
             if pg is None or not p.requires_grad:

@@ -27,6 +27,7 @@ __all__ = [
     "ModelConfig",
     "Model",
     "BatchForward",
+    "PackedDataset",
     "init_model",
     "conv_forward",
     "fingerprint",
@@ -122,26 +123,55 @@ def _padded(rows, fill: int) -> np.ndarray:
     return np.array(flat, dtype=np.intp).reshape(len(rows), width)
 
 
-def _batch_inputs(graphs: list[MolecularGraph]):
-    """Stacked node features plus the index tables ``neighbors`` and ``atoms``.
+class PackedDataset:
+    """A list of molecules featurized once into contiguous arrays.
 
-    ``neighbors`` lists each atom and its bonded neighbors, ``atoms`` each
-    molecule's atom rows; both in ascending order, padded with the atom count.
+    ``x`` stacks every molecule's node features. Row v of ``neighbors`` lists
+    atom v and its bonded neighbors in dataset rows, ascending, padded with
+    the atom count. Molecule k owns rows ``offsets[k]:offsets[k + 1]``.
+    Batches are slices of the pack, taken with :meth:`take`.
     """
-    if not graphs:
-        raise ValueError("empty batch")
-    x = np.vstack([featurize(g) for g in graphs])
-    n = x.shape[0]
-    neighbors = [[v] for v in range(n)]
-    members = []
-    offset = 0
-    for g in graphs:
-        for i, j, _ in g.bonds:
-            neighbors[offset + i].append(offset + j)
-            neighbors[offset + j].append(offset + i)
-        members.append(range(offset, offset + g.num_atoms))
-        offset += g.num_atoms
-    return x, _padded(neighbors, n), _padded(members, n)
+
+    def __init__(self, graphs: list[MolecularGraph]):
+        if not graphs:
+            raise ValueError("empty batch")
+        self.x = np.vstack([featurize(g) for g in graphs])
+        n = self.x.shape[0]
+        self.offsets = np.cumsum([0] + [g.num_atoms for g in graphs])
+        rows = [[v] for v in range(n)]
+        for g, offset in zip(graphs, self.offsets.tolist()):
+            for i, j, _ in g.bonds:
+                rows[offset + i].append(offset + j)
+                rows[offset + j].append(offset + i)
+        self.neighbors = _padded(rows, n)
+        # the widest neighbor row of each molecule
+        self.widths = np.maximum.reduceat([len(r) for r in rows], self.offsets[:-1])
+
+    def take(self, indices):
+        """Node features and the index tables ``neighbors`` and ``atoms`` of a batch.
+
+        The batch holds the molecules ``indices`` in that order. ``neighbors``
+        lists each atom and its bonded neighbors, ``atoms`` each molecule's
+        atom rows; both in batch rows, ascending, padded with the batch atom
+        count and no wider than the batch's widest row.
+        """
+        idx = np.asarray(indices, dtype=np.intp)
+        if idx.size == 0:
+            raise ValueError("empty batch")
+        starts = self.offsets[idx]
+        sizes = self.offsets[idx + 1] - starts
+        ends = np.cumsum(sizes)
+        m = int(ends[-1])
+        begins = ends - sizes
+        shift = np.repeat(begins - starts, sizes)
+        rows = np.arange(m) - shift
+        table = self.neighbors[rows, :self.widths[idx].max()]
+        # Bonds stay within a molecule, and a molecule's rows all move by one
+        # shift, so each neighbor row stays ascending.
+        neighbors = np.where(table < self.x.shape[0], table + shift[:, None], m)
+        cols = np.arange(sizes.max())
+        atoms = np.where(cols < sizes[:, None], begins[:, None] + cols, m)
+        return self.x[rows], neighbors, atoms
 
 
 class Model:
@@ -197,7 +227,11 @@ class Model:
 
     def forward_batch(self, graphs: list[MolecularGraph], mode: str = "eval") -> BatchForward:
         """Run the full network over a batch of molecules."""
-        x, neighbors, atoms = _batch_inputs(graphs)
+        return self.forward(*PackedDataset(graphs).take(np.arange(len(graphs))), mode)
+
+    def forward(self, x: np.ndarray, neighbors: np.ndarray, atoms: np.ndarray,
+                mode: str = "eval") -> BatchForward:
+        """Run the full network over a batch from :meth:`PackedDataset.take`."""
         h = ad.constant(x)
         for ell in range(self.config.num_conv_layers):
             h = conv_forward(h, neighbors, self.conv_weights[ell], self.conv_biases[ell],
@@ -261,7 +295,7 @@ def _finite_array(entry, key: str, what: str, shape: tuple) -> np.ndarray:
     # entry[key] as a float64 array of the given shape with every value finite.
     try:
         arr = np.asarray(entry[key], dtype=np.float64)
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise CheckpointError(f"{what} needs a numeric {key!r} field") from None
     if not np.isfinite(arr).all():
         raise CheckpointError(f"{what} has non-finite {key!r} values")
@@ -278,11 +312,12 @@ def model_from_document(doc: dict) -> Model:
     if version != CHECKPOINT_FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint format_version {version!r}")
     try:
-        config = ModelConfig(**doc["config"])
+        model = init_model(ModelConfig(**doc["config"]))
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"invalid checkpoint config: {e}") from None
-    model = init_model(config)
-    params = doc.get("parameters", {})
+    params, bn = doc.get("parameters", {}), doc.get("batch_norm", {})
+    if not isinstance(params, dict) or not isinstance(bn, dict):
+        raise CheckpointError("checkpoint 'parameters' and 'batch_norm' must be objects")
     for name, node in model.named_parameters():
         if name not in params:
             raise CheckpointError(f"checkpoint missing parameter {name!r}")
@@ -291,7 +326,6 @@ def model_from_document(doc: dict) -> Model:
             raise CheckpointError(f"{what} has shape {entry['shape']}, expected {shape}")
         node.value = _finite_array(entry, "data", what, (node.value.size,)).reshape(shape)
         node.zero_grad()
-    bn = doc.get("batch_norm", {})
     for name, state in model.batch_norm_states():
         if name not in bn:
             raise CheckpointError(f"checkpoint missing batch_norm state {name!r}")

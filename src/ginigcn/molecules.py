@@ -123,7 +123,7 @@ def _atom_from_record(rec, where: str) -> Atom:
 def _number(v, where: str, what: str) -> float:
     try:
         return float(v)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise MoleculeError(f"{where}: {what} must be a number, got {v!r}") from None
 
 
@@ -135,6 +135,8 @@ def _graph_from_record(rec: dict, where: str) -> MolecularGraph:
     if "atoms" not in rec or not isinstance(rec["atoms"], list):
         raise MoleculeError(f"{where}: missing 'atoms' array")
     atoms = [_atom_from_record(a, where) for a in rec["atoms"]]
+    if not isinstance(rec.get("bonds", []), list):
+        raise MoleculeError(f"{where}: 'bonds' must be an array")
     bonds = []
     for b in rec.get("bonds", []):
         if not isinstance(b, list) or len(b) != 3:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .gini import GiniConfig, RegularizerReport, layer_gini_blocks, regularized_loss
-from .model import Model, ModelConfig, init_model
+from .model import Model, ModelConfig, PackedDataset, init_model
 from .molecules import MolecularGraph, kfold_split
 
 __all__ = [
@@ -232,6 +232,8 @@ def train(
 ):
     """Minimize the regularized loss over seeded shuffled mini-batches.
 
+    ``graphs`` are featurized once, before the first epoch, so a molecule
+    that cannot be featurized raises MoleculeError before any weight moves.
     Target statistics are fitted on ``graphs`` (the training fold) unless
     supplied. Returns ``(model, stats, history)``; the model is mutated in
     place. Gini regularization (m > 0) requires the explainable variant.
@@ -242,6 +244,7 @@ def train(
         raise ValueError("empty training set")
     if cfg.gini.m > 0 and not model.is_explainable:
         raise ValueError("Gini regularization (m > 0) requires the explainable variant")
+    packed = PackedDataset(graphs)
     names = model.config.targets
     y, mask = target_matrix(graphs, names)
     if stats is None:
@@ -255,9 +258,8 @@ def train(
     for epoch in range(cfg.epochs):
         report = None
         for b, batch_idx in enumerate(_epoch_batches(len(graphs), cfg.batch_size, cfg.seed, epoch)):
-            batch = [graphs[i] for i in batch_idx]
             model.zero_grads()
-            fwd = model.forward_batch(batch, mode="train")
+            fwd = model.forward(*packed.take(batch_idx), mode="train")
             raw = multitask_loss(fwd.output, z[batch_idx], mask[batch_idx])
             if model.is_explainable:
                 g_mean, g_max = layer_gini_blocks(model.out_weight, model.config.conv_hidden)

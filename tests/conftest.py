@@ -4,7 +4,7 @@ import numpy as np
 
 from ginigcn import autodiff as ad
 from ginigcn.gini import GiniConfig, layer_gini_blocks, regularized_loss
-from ginigcn.model import ModelConfig, init_model, _batch_inputs
+from ginigcn.model import ModelConfig, PackedDataset, init_model
 from ginigcn.molecules import MolecularGraph, parse_smiles_subset
 from ginigcn.toydata import planted_value
 from ginigcn.training import multitask_loss, target_matrix, standardize_targets
@@ -60,7 +60,7 @@ class PackedLoss:
             self.spans.append((name, offset, offset + size, p.value.shape))
             offset += size
         self.size = offset
-        self.x, self.neighbors, self.atoms = _batch_inputs(graphs)
+        self.x, self.neighbors, self.atoms = PackedDataset(graphs).take(range(len(graphs)))
         y, self.mask = target_matrix(graphs, config.targets)
         _, self.z = standardize_targets(y, self.mask, config.targets)
         self.diagnostics = {}

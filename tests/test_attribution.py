@@ -68,6 +68,43 @@ def test_terms_sorted_by_magnitude():
     assert mags == sorted(mags, reverse=True)
 
 
+def test_terms_scores_and_top_set_match_the_scalar_construction():
+    # The scalar, one-term-at-a-time construction the vectorised code replaced,
+    # kept as the reference: terms, atom scores and top sets must agree bit for bit.
+    targets = ("a", "b", "c")
+    model = small_model(targets=targets, hidden=8, layers=2, seed=5)
+    w = model.out_weight.value
+    w[[1, 4, 9, 12], :] = 0.0  # zero weights tie |value| at 0
+    h = model.config.conv_hidden
+    for g in generate_graphs(ToySpec(num_molecules=100, seed=13)):
+        fwd = model.forward_batch([g])
+        phi, x = fwd.fingerprint.value[0], fwd.node_reps.value
+        n = x.shape[0]
+        for j, target in enumerate(targets):
+            col = w[:, j]
+            old_terms = sorted(
+                [(i, "mean" if i < h else "max", float(col[i]), float(phi[i]),
+                  float(col[i] * phi[i])) for i in range(2 * h)],
+                key=lambda t: -abs(t[4]))
+            mean = x.mean(axis=0)
+            share = np.divide(x, n * mean, out=np.zeros_like(x), where=mean > 0)
+            scores = share @ (col[:h] * np.tanh(mean))
+            winners = x.argmax(axis=0)
+            np.add.at(scores, winners, col[h:] * np.tanh(x[winners, np.arange(h)]))
+            amap = per_atom_map(model, g, target)
+            got = [(t.index, t.block, t.weight, t.activation, t.value) for t in amap.terms]
+            # repr tells -0.0 from 0.0 and round-trips every float exactly
+            assert repr(got) == repr(old_terms)
+            assert all(type(v) is float for t in got for v in t[2:])
+            assert repr(amap.atom_scores) == repr([float(v) for v in scores])
+    for j, target in enumerate(targets):
+        mags = np.abs(w[:, j])
+        for fraction in (0.5, 0.9, 1.0):
+            count = concentration_count(mags, fraction)
+            order = np.lexsort((np.arange(mags.size), -mags))
+            assert top_representations(model, target, fraction) == [int(i) for i in order[:count]]
+
+
 def test_reference_variant_rejected():
     model = small_model(variant="reference")
     with pytest.raises(ValueError, match="explainable"):

@@ -166,6 +166,17 @@ def test_backward_accumulates_on_repeat():
     assert np.array_equal(x.grad, [4.0, 4.0])
 
 
+def test_only_trainable_leaves_hold_gradients():
+    x = ad.parameter([1.0, -2.0])
+    c = ad.constant([3.0, 4.0])
+    hidden = ad.relu(ad.mul(x, c))
+    root = ad.reduce(ad.tanh(hidden), "sum")
+    ad.backward(root)
+    assert x.grad is not None and np.all(np.isfinite(x.grad))
+    for node in (c, hidden, root):
+        assert node.grad is None
+
+
 def test_backward_requires_scalar():
     x = ad.parameter([1.0, 2.0])
     with pytest.raises(ad.ShapeError):

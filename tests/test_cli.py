@@ -58,6 +58,21 @@ def test_train_idempotent(workspace):
         assert (tmp / "a" / name).read_bytes() == (tmp / "b" / name).read_bytes()
 
 
+def test_train_unfeaturizable_molecule_exits_1(workspace, capsys):
+    tmp, config_path, config = workspace
+    # parses (valid indices and orders) but cannot be featurized
+    bad = {"id": "five-bond-carbon", "atoms": [{"element": "C"}] * 6,
+           "bonds": [[0, k, 1] for k in range(1, 6)], "targets": {"size": 6, "oxygen_count": 0}}
+    with open(config["dataset"], "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(bad) + "\n")
+    assert main(["train", "--config", str(config_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "five-bond-carbon" in captured.err and "degree 5" in captured.err
+    assert not (tmp / "run" / "checkpoint.json").exists()
+
+
 def test_missing_dataset_exits_1(workspace, capsys):
     tmp, config_path, config = workspace
     config["dataset"] = str(tmp / "nope.jsonl")

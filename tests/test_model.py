@@ -15,9 +15,9 @@ from ginigcn.model import (
     fingerprint,
     init_model,
     model_from_document,
-    _batch_inputs,
+    PackedDataset,
 )
-from ginigcn.molecules import MolecularGraph, parse_smiles_subset
+from ginigcn.molecules import MolecularGraph, featurize, parse_smiles_subset
 from ginigcn.toydata import ToySpec, generate_graphs
 
 
@@ -112,7 +112,7 @@ def test_conv_isolated_atom():
 
 
 def test_conv_symmetric_pair():
-    _, neighbors, _ = _batch_inputs([parse_smiles_subset("CC")])
+    _, neighbors, _ = PackedDataset([parse_smiles_subset("CC")]).take([0])
     h = ad.constant(np.ones((2, 3)))
     rng = np.random.default_rng(0)
     w = ad.constant(rng.normal(size=(3, 4)))
@@ -154,7 +154,7 @@ def dense_self_adjacency(graphs):
 ])
 def test_neighbor_sum_matches_dense_product(smiles):
     graphs = [parse_smiles_subset(s) for s in smiles]
-    x, neighbors, atoms = _batch_inputs(graphs)
+    x, neighbors, atoms = PackedDataset(graphs).take(range(len(graphs)))
     n = x.shape[0]
     h = np.random.default_rng(3).normal(size=(n, 5))
     a = dense_self_adjacency(graphs)
@@ -167,6 +167,75 @@ def test_neighbor_sum_matches_dense_product(smiles):
     real = atoms[atoms < n]
     assert np.array_equal(real, np.arange(n))
     assert [int((row < n).sum()) for row in atoms] == [g.num_atoms for g in graphs]
+
+
+def reference_batch(graphs):
+    """The batch arrays built straight from the bonds, one molecule after another."""
+    x = np.vstack([featurize(g) for g in graphs])
+    n = x.shape[0]
+    rows, members, offset = [], [], 0
+    for g in graphs:
+        adj = [[offset + k] for k in range(g.num_atoms)]
+        for i, j, _ in g.bonds:
+            adj[i].append(offset + j)
+            adj[j].append(offset + i)
+        rows += [sorted(r) for r in adj]
+        members.append(list(range(offset, offset + g.num_atoms)))
+        offset += g.num_atoms
+
+    def pad(lists):
+        width = max(len(r) for r in lists)
+        return np.array([r + [n] * (width - len(r)) for r in lists], dtype=np.intp)
+
+    return x, pad(rows), pad(members)
+
+
+def test_take_hand_tables():
+    pack = PackedDataset([parse_smiles_subset(s) for s in ("CCO", "C", "CC")])
+    x, neighbors, atoms = pack.take([2, 0])
+    # batch rows: CC -> 0, 1; CCO -> 2, 3, 4; padding 5
+    assert np.array_equal(neighbors, [[0, 1, 5], [0, 1, 5], [2, 3, 5], [2, 3, 4], [3, 4, 5]])
+    assert np.array_equal(atoms, [[0, 1, 5], [2, 3, 4]])
+    assert np.array_equal(x[:2], pack.x[4:6])
+    assert np.array_equal(x[2:], pack.x[:3])
+    # a lone atom: its own row only, no wider than the batch needs
+    x, neighbors, atoms = pack.take([1])
+    assert np.array_equal(neighbors, [[0]]) and np.array_equal(atoms, [[0]])
+    assert np.array_equal(x, pack.x[3:4])
+
+
+def test_take_matches_tables_built_from_the_graphs():
+    graphs = generate_graphs(ToySpec(num_molecules=60, seed=9))
+    graphs += [parse_smiles_subset(s) for s in ("C", "CC(C)(C)C", "C1CCCCC1")]
+    pack = PackedDataset(graphs)
+    rng = np.random.default_rng(4)
+    batches = [rng.permutation(len(graphs))[:k] for k in (2, 7, 25)]
+    batches += [[60], [60, 61], [62], list(range(len(graphs))), [61, 3, 3]]
+    for idx in batches:
+        got = pack.take(idx)
+        want = reference_batch([graphs[i] for i in idx])
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b), idx
+
+
+def test_take_rejects_empty_batch():
+    pack = PackedDataset([parse_smiles_subset("CC")])
+    with pytest.raises(ValueError):
+        pack.take([])
+
+
+def test_train_forward_on_take_matches_forward_batch():
+    graphs = generate_graphs(ToySpec(num_molecules=40, seed=6))
+    idx = np.random.default_rng(2).permutation(40)[:25]
+    cfg = ModelConfig(targets=["a", "b"], conv_hidden=8, num_conv_layers=3, seed=1)
+    a, b = init_model(cfg), init_model(cfg)
+    fa = a.forward(*PackedDataset(graphs).take(idx), mode="train")
+    fb = b.forward_batch([graphs[i] for i in idx], mode="train")
+    for field in ("output", "fingerprint", "node_reps"):
+        assert np.array_equal(getattr(fa, field).value, getattr(fb, field).value), field
+    for (name, sa), (_, sb) in zip(a.batch_norm_states(), b.batch_norm_states()):
+        assert np.array_equal(sa.running_mean, sb.running_mean), name
+        assert np.array_equal(sa.running_var, sb.running_var), name
 
 
 # ------------------------------------------------------------- fingerprint

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from ginigcn import autodiff as ad
+from ginigcn import model as model_module
 from ginigcn.gini import GiniConfig
 from ginigcn.model import ModelConfig, init_model
+from ginigcn.molecules import Atom, MolecularGraph, MoleculeError
 from ginigcn.toydata import ToySpec, generate_graphs
 from ginigcn.training import (
     AdamState,
@@ -212,6 +214,41 @@ def test_train_empty_set_rejected():
     model = init_model(ModelConfig(targets=["size"], conv_hidden=4, num_conv_layers=1))
     with pytest.raises(ValueError):
         train(model, [], toy_train_config())
+
+
+def five_bond_carbon():
+    """A record that parses (bond indices and orders are valid) but cannot be
+    featurized: its first carbon has five heavy neighbours."""
+    return MolecularGraph(id="bad-carbon", atoms=[Atom("C")] * 6,
+                          bonds=[(0, k, 1) for k in range(1, 6)],
+                          targets={"size": 6.0, "oxygen_count": 0.0})
+
+
+def test_train_featurizes_each_molecule_once(monkeypatch):
+    graphs = generate_graphs(ToySpec(num_molecules=20, seed=3))
+    calls = []
+    real = model_module.featurize
+
+    def counted(graph):
+        calls.append(graph.id)
+        return real(graph)
+
+    monkeypatch.setattr(model_module, "featurize", counted)
+    model = init_model(ModelConfig(targets=["size"], conv_hidden=4, num_conv_layers=1, seed=0))
+    train(model, graphs, toy_train_config(epochs=3, batch_size=6))
+    assert sorted(calls) == sorted(g.id for g in graphs)
+
+
+def test_unfeaturizable_molecule_fails_before_any_update():
+    graphs = generate_graphs(ToySpec(num_molecules=60, seed=2))
+    graphs.insert(50, five_bond_carbon())
+    model = init_model(ModelConfig(targets=["size", "oxygen_count"], conv_hidden=4,
+                                   num_conv_layers=1, seed=0))
+    initial = [p.value.copy() for p in model.parameters()]
+    with pytest.raises(MoleculeError, match="bad-carbon"):
+        train(model, graphs, toy_train_config(epochs=2, batch_size=8))
+    for p, before in zip(model.parameters(), initial):
+        assert np.array_equal(p.value, before)
 
 
 # -------------------------------------------------------------- evaluation
