@@ -4,8 +4,10 @@ Tape-style engine: every operation returns a ``Node`` holding the forward
 value plus a closure that maps the output gradient to per-parent gradient
 contributions. Only trainable leaves (parameters) hold a ``grad`` buffer;
 :func:`backward` passes gradients through intermediate nodes without
-storing them. The primitive set is what the GCN model and the Gini
-regularizer need, plus ``matmul``; values are at most 2-dimensional and
+storing them. The primitive set is what the GCN model and its loss need
+(the Gini regularizer is one node of its own), plus ``matmul``, ``absolute``,
+``gather``, ``slice_rows``, ``reshape``, ``clamp_min``, ``log`` and ``exp``,
+which ``bench/tracing.py`` binds by name; values are at most 2-dimensional and
 double precision throughout. No broadcasting beyond row-wise bias/scale
 addition and scalar (0-d) operands.
 
@@ -25,7 +27,6 @@ __all__ = [
     "BatchNormState",
     "constant",
     "parameter",
-    "add",
     "sub",
     "mul",
     "div",
@@ -118,18 +119,6 @@ def _reduce_to(g: np.ndarray, shape) -> np.ndarray:
     if shape == () and g.shape != ():
         return np.asarray(g.sum())
     return g
-
-
-def add(a, b) -> Node:
-    """Elementwise a + b (same shape, or one scalar operand)."""
-    a, b = _wrap(a), _wrap(b)
-    _check_pair(a, b, "add")
-    out = a.value + b.value
-
-    def bw(g):
-        return (_reduce_to(g, a.shape), _reduce_to(g, b.shape))
-
-    return Node(out, _needs(a, b), (a, b), bw)
 
 
 def sub(a, b) -> Node:
@@ -417,16 +406,21 @@ class BatchNormState:
     """
 
     def __init__(self, dim: int, momentum: float = 0.1, epsilon: float = 1e-5):
-        if not 0.0 < momentum < 1.0:
-            raise ValueError("momentum must lie in (0, 1)")
-        if epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        self.check_settings(momentum, epsilon)
         self.gamma = parameter(np.ones(dim))
         self.beta = parameter(np.zeros(dim))
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
         self.momentum = float(momentum)
         self.epsilon = float(epsilon)
+
+    @staticmethod
+    def check_settings(momentum: float, epsilon: float) -> None:
+        """Raise ValueError unless momentum lies in (0, 1) and epsilon is positive."""
+        if not 0.0 < momentum < 1.0:
+            raise ValueError("momentum must lie in (0, 1)")
+        if epsilon <= 0.0:
+            raise ValueError("epsilon must be positive")
 
     @property
     def dim(self) -> int:

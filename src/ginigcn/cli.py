@@ -27,7 +27,7 @@ from .attribution import (
     rank_correlation,
     top_representations,
 )
-from .gini import GiniConfig, gini
+from .gini import GiniConfig, gini, layer_gini_blocks, regularized_loss
 from .model import (
     CheckpointError,
     Model,
@@ -218,9 +218,7 @@ def cmd_gini_report(args) -> int:
         "per_target": {},
     }
     if model.config.variant == "explainable":
-        h = model.config.conv_hidden
-        doc["g_mean_block"] = gini(w[:h])
-        doc["g_max_block"] = gini(w[h:])
+        doc["g_mean_block"], doc["g_max_block"] = layer_gini_blocks(w, model.config.conv_hidden)
     else:
         doc["g_mean_block"] = None
         doc["g_max_block"] = None
@@ -307,6 +305,15 @@ def _selftest_checks():
                    for op in ops)
 
     yield "primitive gradients", _grad_checks
+
+    def _regularizer_gradient():
+        # magnitudes 0.1..1.6 with mixed signs: no tie or zero within the step
+        w = 0.1 * np.random.default_rng(5).permutation(np.arange(1, 17) * (-1.0) ** np.arange(16))
+        cfg = GiniConfig(m=3.0)
+        return ad.grad_check(lambda n: regularized_loss(ad.constant(1.3), n, 4, cfg)[0],
+                             w.reshape(8, 2)) < 1e-6
+
+    yield "regularizer gradient", _regularizer_gradient
 
     def _attribution():
         graphs = generate_graphs(ToySpec(num_molecules=20, seed=11))

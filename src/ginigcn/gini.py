@@ -9,7 +9,8 @@ sorted form, which is an exact identity with the double-sum definition
 
 The training divisor combines the two aggregation-block coefficients by
 geometric mean and is evaluated in log space so that large exponents stay
-numerically sane near-uniform weights.
+numerically sane near-uniform weights. The loss is one autodiff node; its
+backward reads the same sorted form as the coefficient and its gradient.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = [
     "RegularizerReport",
     "gini",
     "gini_gradient",
-    "gini_node",
     "layer_gini_blocks",
     "regularized_loss",
 ]
@@ -62,6 +62,12 @@ def _sorted_coeffs(n: int) -> np.ndarray:
     return 2.0 * np.arange(1, n + 1) - n - 1.0
 
 
+def _sorted_form(a: np.ndarray):
+    # (order, num, den) of 1-d magnitudes: gini = num / den, den = 0 iff all are 0
+    order = np.argsort(a, kind="stable")
+    return order, (a[order] * _sorted_coeffs(a.size)).sum(), a.sum() * a.size
+
+
 def gini(w) -> float:
     """Gini coefficient of |w| (any shape, flattened), in [0, (n-1)/n].
 
@@ -69,99 +75,81 @@ def gini(w) -> float:
     the coefficient are expected to apply their floor.
     """
     a = np.abs(np.asarray(w, dtype=np.float64).ravel())
-    n = a.size
-    if n < 1:
+    if a.size < 1:
         raise ValueError("gini requires at least one weight")
-    total = a.sum()
-    if total == 0.0:
-        return 0.0
-    s = np.sort(a)
+    _, num, den = _sorted_form(a)
     # near-equal values can leave a tiny negative summation residual
-    return max(float((_sorted_coeffs(n) * s).sum() / (n * total)), 0.0)
+    return max(float(num / den), 0.0) if den else 0.0
+
+
+def _scaled_gradient(w: np.ndarray, scale) -> np.ndarray:
+    # Gradient of scale * gini(w) with the sort order held fixed; sign(0) = 0.
+    a = np.abs(w.ravel())
+    order, num, den = _sorted_form(a)
+    if den == 0.0:
+        return np.zeros_like(w)
+    da = np.zeros(a.size)
+    da[order] += _sorted_coeffs(a.size) * (scale / den)
+    # den * den, not den ** 2: pow() on a numpy scalar can round differently
+    da += (-scale * num / (den * den)) * a.size
+    return (da * np.sign(w.ravel())).reshape(w.shape)
 
 
 def gini_gradient(w) -> np.ndarray:
     """Analytic gradient of the Gini coefficient with respect to w.
 
     Valid away from magnitude ties (rank changes) and uses the subgradient
-    sign(0) = 0 at zero entries. Matches autodiff backward through
-    :func:`gini_node` at tie-free points.
+    sign(0) = 0 at zero entries; :func:`regularized_loss` scales it per block.
     """
-    w = np.asarray(w, dtype=np.float64)
-    a = np.abs(w.ravel())
-    n = a.size
-    total = a.sum()
-    if total == 0.0:
-        return np.zeros_like(w)
-    order = np.argsort(a, kind="stable")
-    ranks = np.empty(n)
-    ranks[order] = np.arange(1, n + 1)
-    g = float((_sorted_coeffs(n) * a[order]).sum() / (n * total))
-    da = (2.0 * ranks - n - 1.0) / (n * total) - g / total
-    return (np.sign(w.ravel()) * da).reshape(w.shape)
+    return _scaled_gradient(np.asarray(w, dtype=np.float64), 1.0)
 
 
-def gini_node(w: ad.Node) -> ad.Node:
-    """Differentiable Gini coefficient of a 1-d node (sorted-form composite).
-
-    The sort permutation is taken from the forward values and held fixed in
-    backward, which is exact away from magnitude ties. A degenerate all-zero
-    input yields a constant 0 with no gradient.
-    """
-    if w.value.ndim != 1:
-        raise ad.ShapeError("gini_node expects a 1-d node")
-    n = w.value.shape[0]
-    if n < 1:
-        raise ValueError("gini_node requires at least one weight")
-    a = ad.absolute(w)
-    if a.value.sum() == 0.0:
-        return ad.constant(0.0)
-    order = np.argsort(a.value, kind="stable")
-    s = ad.gather(a, order)
-    num = ad.reduce(ad.mul(s, ad.constant(_sorted_coeffs(n))), "sum")
-    den = ad.mul(ad.reduce(a, "sum"), float(n))
-    return ad.div(num, den)
-
-
-def layer_gini_blocks(w_out: ad.Node, block_size: int) -> tuple[ad.Node, ad.Node]:
+def layer_gini_blocks(w_out, block_size: int) -> tuple[float, float]:
     """Gini coefficients of the mean- and max-aggregation weight blocks.
 
     Rows [0, block_size) of the output weight matrix act on the mean
     aggregation, rows [block_size, 2*block_size) on the max aggregation.
     Each block is flattened across all targets before the coefficient.
     """
-    if w_out.value.ndim != 2 or w_out.value.shape[0] != 2 * block_size:
+    w = np.asarray(w_out, dtype=np.float64)
+    if w.ndim != 2 or w.shape[0] != 2 * block_size:
         raise ad.ShapeError(
-            f"output weights of shape {w_out.value.shape} do not split into two "
+            f"output weights of shape {w.shape} do not split into two "
             f"blocks of {block_size} rows"
         )
-    cols = w_out.value.shape[1]
-    flat_mean = ad.reshape(ad.slice_rows(w_out, 0, block_size), (block_size * cols,))
-    flat_max = ad.reshape(ad.slice_rows(w_out, block_size, 2 * block_size), (block_size * cols,))
-    return gini_node(flat_mean), gini_node(flat_max)
+    return gini(w[:block_size]), gini(w[block_size:])
 
 
-def regularized_loss(
-    raw: ad.Node,
-    g_mean_block: ad.Node,
-    g_max_block: ad.Node,
-    cfg: GiniConfig,
-) -> tuple[ad.Node, RegularizerReport]:
+def regularized_loss(raw: ad.Node, w_out: ad.Node, block_size: int,
+                     cfg: GiniConfig) -> tuple[ad.Node, RegularizerReport]:
     """L / max(g, g_floor)^m with g the geometric mean of the block Ginis.
 
     Evaluated in log space as L * exp(-(m/2) * ln(max(g_mean * g_max,
     g_floor^2))), which equals the direct form exactly while keeping m = 10
-    stable for near-uniform weights. Gradient flows into L and both blocks.
+    stable for near-uniform weights. One node: gradient flows into L and,
+    through both blocks' sorted forms, into the output weights (exact away
+    from magnitude ties; none where the floor is active).
     """
-    product = ad.mul(g_mean_block, g_max_block)
-    clamped = ad.clamp_min(product, cfg.g_floor ** 2)
-    factor = ad.exp(ad.mul(ad.log(clamped), -0.5 * cfg.m))
-    reg = ad.mul(raw, factor)
-    g_eff = math.sqrt(max(float(g_mean_block.value) * float(g_max_block.value), 0.0))
+    w = w_out.value
+    g_mean, g_max = layer_gini_blocks(w, block_size)
+    live = g_mean * g_max > cfg.g_floor ** 2
+    clamped = g_mean * g_max if live else cfg.g_floor ** 2
+    exponent = -0.5 * cfg.m
+    factor = np.exp(np.log(clamped) * exponent)
+
+    def bw(g):
+        g_raw = g * factor if raw.requires_grad else None
+        if not (live and w_out.requires_grad):
+            return (g_raw, None)
+        g_product = g * raw.value * factor * exponent / clamped  # through exp, then log
+        return (g_raw, np.concatenate([_scaled_gradient(w[:block_size], g_product * g_max),
+                                       _scaled_gradient(w[block_size:], g_product * g_mean)]))
+
+    reg = ad.Node(raw.value * factor, raw.requires_grad or w_out.requires_grad, (raw, w_out), bw)
     report = RegularizerReport(
-        g_mean_block=float(g_mean_block.value),
-        g_max_block=float(g_max_block.value),
-        g_effective=g_eff,
+        g_mean_block=g_mean,
+        g_max_block=g_max,
+        g_effective=math.sqrt(g_mean * g_max),
         raw_loss=float(raw.value),
         regularized_loss=float(reg.value),
     )

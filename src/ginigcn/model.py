@@ -58,6 +58,8 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.targets, list) or not all(isinstance(t, str) for t in self.targets):
+            raise ValueError("targets must be a list of names (strings)")
         if not self.targets:
             raise ValueError("at least one target is required")
         if len(set(self.targets)) != len(self.targets):
@@ -334,6 +336,10 @@ def model_from_document(doc: dict) -> Model:
         state.running_var = _finite_array(entry, "running_var", what, (state.dim,))
         state.momentum = float(_finite_array(entry, "momentum", what, ()))
         state.epsilon = float(_finite_array(entry, "epsilon", what, ()))
+        try:
+            ad.BatchNormState.check_settings(state.momentum, state.epsilon)
+        except ValueError as e:
+            raise CheckpointError(f"{what}: {e}") from None
         if np.any(state.running_var < 0):
             raise CheckpointError(f"batch_norm state {name!r} has negative running variance")
     return model

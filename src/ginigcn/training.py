@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .gini import GiniConfig, RegularizerReport, layer_gini_blocks, regularized_loss
+from .gini import GiniConfig, RegularizerReport, regularized_loss
 from .model import Model, ModelConfig, PackedDataset, init_model
 from .molecules import MolecularGraph, kfold_split
 
@@ -262,8 +262,8 @@ def train(
             fwd = model.forward(*packed.take(batch_idx), mode="train")
             raw = multitask_loss(fwd.output, z[batch_idx], mask[batch_idx])
             if model.is_explainable:
-                g_mean, g_max = layer_gini_blocks(model.out_weight, model.config.conv_hidden)
-                loss, report = regularized_loss(raw, g_mean, g_max, cfg.gini)
+                loss, report = regularized_loss(raw, model.out_weight,
+                                                model.config.conv_hidden, cfg.gini)
             else:
                 loss = raw
                 report = RegularizerReport(

@@ -3,7 +3,7 @@
 import numpy as np
 
 from ginigcn import autodiff as ad
-from ginigcn.gini import GiniConfig, layer_gini_blocks, regularized_loss
+from ginigcn.gini import GiniConfig, regularized_loss
 from ginigcn.model import ModelConfig, PackedDataset, init_model
 from ginigcn.molecules import MolecularGraph, parse_smiles_subset
 from ginigcn.toydata import planted_value
@@ -108,8 +108,7 @@ class PackedLoss:
         fp = ad.concat_cols(fp_mean, fp_max)
         out = ad.linear(fp, pieces["output.weight"], pieces["output.bias"])
         raw = multitask_loss(out, self.z, self.mask)
-        g_mean, g_max = layer_gini_blocks(pieces["output.weight"], cfg.conv_hidden)
-        loss, _ = regularized_loss(raw, g_mean, g_max, self.gini_cfg)
+        loss, _ = regularized_loss(raw, pieces["output.weight"], cfg.conv_hidden, self.gini_cfg)
 
         w = pieces["output.weight"].value
         abs_margin = float(np.abs(w).min())

@@ -233,6 +233,7 @@ def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "ok" in out and "FAIL" not in out
+    assert "ok   regularizer gradient" in out
 
 
 def test_bad_flag_exits_1(capsys):
@@ -246,7 +247,9 @@ def untrained_checkpoint():
     return checkpoint_document(model)
 
 
-@pytest.mark.parametrize("damage", ["no_data", "no_shape", "nan_weight", "inf_running_var"])
+@pytest.mark.parametrize("damage", ["no_data", "no_shape", "nan_weight", "inf_running_var",
+                                    "negative_epsilon", "momentum_above_1",
+                                    "targets_string", "targets_object", "targets_number"])
 def test_gini_report_malformed_checkpoint_exits_1(tmp_path, capsys, damage):
     doc = untrained_checkpoint()
     if damage == "no_data":
@@ -255,8 +258,16 @@ def test_gini_report_malformed_checkpoint_exits_1(tmp_path, capsys, damage):
         del doc["parameters"]["conv0.weight"]["shape"]
     elif damage == "nan_weight":
         doc["parameters"]["output.weight"]["data"][0] = float("nan")
-    else:
+    elif damage == "inf_running_var":
         doc["batch_norm"]["conv0"]["running_var"][1] = float("inf")
+    elif damage == "negative_epsilon":
+        doc["batch_norm"]["conv0"]["epsilon"] = -2.0
+    elif damage == "momentum_above_1":
+        doc["batch_norm"]["conv0"]["momentum"] = 7.0
+    else:
+        # one target column, so each of these loaded before targets were checked
+        doc["config"]["targets"] = {"targets_string": "s", "targets_object": {"a": 5},
+                                    "targets_number": [3]}[damage]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert main(["gini-report", "--checkpoint", str(bad)]) == 1

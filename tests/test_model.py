@@ -45,6 +45,13 @@ def test_config_validation():
     assert cfg.fingerprint_dim == 128
 
 
+@pytest.mark.parametrize("targets", ["ab", ("a", "b"), {"a": 5}, [3], ["a", None], ["a", "a"]],
+                         ids=["string", "tuple", "object", "number", "null", "repeated"])
+def test_config_targets_must_be_distinct_names(targets):
+    with pytest.raises(ValueError):
+        ModelConfig(targets=targets)
+
+
 # -------------------------------------------------------------------- init
 
 
@@ -404,3 +411,24 @@ def test_checkpoint_rejects_non_finite_values(section, name, key, bad):
     doc[section][name][key][0] = bad
     with pytest.raises(CheckpointError, match="non-finite"):
         model_from_document(json.loads(json.dumps(doc)))
+
+
+@pytest.mark.parametrize("key, bad", [("epsilon", -2.0), ("epsilon", 0.0),
+                                      ("momentum", 7.0), ("momentum", 0.0)])
+def test_checkpoint_rejects_batch_norm_settings_out_of_range(key, bad):
+    # epsilon -2 made eval-mode normalization NaN, and predict returned the bias
+    model = init_model(ModelConfig(targets=["a"], conv_hidden=2, num_conv_layers=1))
+    doc = checkpoint_document(model)
+    doc["batch_norm"]["conv0"][key] = bad
+    with pytest.raises(CheckpointError, match=f"conv0.*{key}"):
+        model_from_document(doc)
+
+
+@pytest.mark.parametrize("targets", ["a", {"a": 5}, [3], []],
+                         ids=["string", "object", "number", "empty"])
+def test_checkpoint_rejects_targets_that_are_not_names(targets):
+    model = init_model(ModelConfig(targets=["a"], conv_hidden=2, num_conv_layers=1))
+    doc = checkpoint_document(model)
+    doc["config"]["targets"] = targets
+    with pytest.raises(CheckpointError, match="target"):
+        model_from_document(doc)

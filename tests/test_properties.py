@@ -2,7 +2,8 @@
 
 A SMILES string, a JSONL dataset document and a checkpoint document each
 either load or raise the documented error (MoleculeError, CheckpointError);
-no other exception escapes. Examples are derandomized and capped so that
+no other exception escapes, and a checkpoint that loads has target names and
+batch-norm settings a fresh model could have. Examples are derandomized and capped so that
 the suite stays reproducible and quick.
 """
 
@@ -159,15 +160,33 @@ def damaged(value, *path):
     return doc
 
 
+@st.composite
+def retargeted_documents(draw):
+    """The base document with other target names: a list of one name, or any JSON value."""
+    return damaged(draw(either(st.lists(st.text(max_size=3), min_size=1, max_size=1))),
+                   "config", "targets")
+
+
 @examples(120)
-@given(st.one_of(damaged_documents(), damaged_documents(), json_values(SMALL_INTS)))
+@given(st.one_of(damaged_documents(), damaged_documents(), retargeted_documents(),
+                 json_values(SMALL_INTS)))
 @example(damaged(None, "parameters"))
 @example(damaged(-1, "config", "seed"))
 @example(damaged(1.5, "config", "conv_hidden"))
 @example(damaged([10 ** 400], "parameters", "output.bias", "data"))
+@example(damaged("s", "config", "targets"))
+@example(damaged({"a": 5}, "config", "targets"))
+@example(damaged([3], "config", "targets"))
+@example(damaged(-2.0, "batch_norm", "conv0", "epsilon"))
+@example(damaged(7, "batch_norm", "conv0", "momentum"))
 def test_checkpoint_loads_or_raises_checkpoint_error(doc):
     try:
         model = model_from_document(doc)
     except CheckpointError:
         return
     assert isinstance(model, Model)
+    targets = model.config.targets
+    assert isinstance(targets, list) and all(isinstance(t, str) for t in targets)
+    assert len(set(targets)) == len(targets) == model.out_weight.value.shape[1]
+    for _, state in model.batch_norm_states():
+        assert 0.0 < state.momentum < 1.0 and state.epsilon > 0.0
