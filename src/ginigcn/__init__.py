@@ -3,6 +3,7 @@
 from .attribution import (
     AttributionMap,
     FukuiRecord,
+    atom_maps,
     condensed_fukui,
     contribution_terms,
     fukui_compare,

@@ -8,6 +8,11 @@ their (non-negative, post-ReLU) node outputs, and each max-block term lands
 whole on the argmax atom. The atom scores therefore sum to the prediction
 minus the bias (the completeness axiom of Sundararajan et al. 2017).
 
+:func:`atom_maps` is the one attribution path: one pack, one eval forward
+pass and one weight product for many molecules and targets, with the same
+bits as one molecule at a time (each prediction is the molecule's own
+fingerprint row times the output weights plus the bias).
+
 Condensed Fukui functions are consumed from per-atom electron populations
 computed externally; this module only does the subtraction and the rank
 comparison against the model's atom scores.
@@ -15,7 +20,7 @@ comparison against the model's atom scores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,6 +31,7 @@ __all__ = [
     "AttributionTerm",
     "AttributionMap",
     "FukuiRecord",
+    "atom_maps",
     "contribution_terms",
     "per_atom_map",
     "top_representations",
@@ -35,12 +41,11 @@ __all__ = [
     "fukui_compare",
 ]
 
-BLOCK_MEAN = "mean"
-BLOCK_MAX = "max"
+BLOCKS = ("mean", "max")  # the block of index i is BLOCKS[i >= H]
 POLARITIES = ("f_minus", "f_plus")
 
 
-@dataclass
+@dataclass(slots=True)
 class AttributionTerm:
     index: int          # fingerprint/representation index
     block: str          # "mean" for index < H, "max" otherwise
@@ -73,70 +78,72 @@ class FukuiRecord:
     f_plus: list[float]
 
 
-def _target_index(model: Model, target: str) -> int:
-    try:
-        return model.config.targets.index(target)
-    except ValueError:
-        available = ", ".join(model.config.targets)
-        raise ValueError(f"unknown target {target!r}; available: {available}") from None
-
-
-def _require_explainable(model: Model):
+def _columns(model: Model, targets: list[str]) -> list[int]:
+    # Output-weight columns of the targets; attribution needs the explainable variant.
     if not model.is_explainable:
         raise ValueError("attribution requires an explainable-variant model")
+    names = model.config.targets
+    for target in targets:
+        if target not in names:
+            raise ValueError(f"unknown target {target!r}; available: {', '.join(names)}")
+    return [names.index(t) for t in targets]
 
 
-def _decompose(model: Model, graph: MolecularGraph, target: str):
-    """Contribution terms and the last-conv node reps from one forward pass."""
-    _require_explainable(model)
-    j = _target_index(model, target)
-    fwd = model.forward_batch([graph], mode="eval")
-    phi = fwd.fingerprint.value[0]
-    weights = model.out_weight.value[:, j]
+def atom_maps(model: Model, graphs: list[MolecularGraph],
+              targets: list[str]) -> list[list[AttributionMap]]:
+    """``maps[k][t]``, the map of ``graphs[k]`` for ``targets[t]``, from one forward pass.
+
+    Terms are ordered by |value|, largest first, ties toward the lower index.
+    With n atoms, node reps x_ki >= 0 (post-ReLU) and channel means m_i, atom k
+    receives w_i * tanh(m_i) * x_ki / (n * m_i) of every mean-block term, and
+    nothing when m_i = 0 (then every x_ki and the term are 0). Every max-block
+    term goes whole to the lowest-index atom attaining the channel maximum.
+    """
+    cols = _columns(model, targets)
+    if not graphs or not targets:
+        raise ValueError("atom_maps needs at least one molecule and one target")
+    fwd = model.forward_batch(graphs, mode="eval")
+    phi = fwd.fingerprint.value                             # (molecules, 2H)
+    w, b = model.out_weight.value, model.out_bias.value
     h = model.config.conv_hidden
-    values = weights * phi
-    order = np.argsort(-np.abs(values), kind="stable")  # largest |value| first, ties by index
-    terms = [
-        AttributionTerm(index=i, block=BLOCK_MEAN if i < h else BLOCK_MAX, weight=w, activation=a,
-                        value=v)
-        for i, w, a, v in zip(order.tolist(), weights[order].tolist(), phi[order].tolist(),
-                              values[order].tolist())
-    ]
-    amap = AttributionMap(
-        molecule_id=graph.id,
-        target=target,
-        prediction=float(fwd.output.value[0, j]),
-        bias=float(model.out_bias.value[j]),
-        terms=terms,
-    )
-    return amap, fwd.node_reps.value
+    weights = w[:, cols].T                                  # (targets, 2H)
+    values = phi[:, None, :] * weights                      # (molecules, targets, 2H)
+    order = (-np.abs(values)).argsort(axis=2, kind="stable")
+    ranked_w = weights[np.arange(len(cols))[:, None], order]
+    ranked_phi = phi[np.arange(len(graphs))[:, None, None], order]
+    # the same products as values, in ranked order
+    ranked = (ranked_w.tolist(), ranked_phi.tolist(), (ranked_phi * ranked_w).tolist())
+    blocks = (order >= h).tolist()
+    order = order.tolist()
+    maps, start = [], 0
+    for k, g in enumerate(graphs):
+        n = g.num_atoms
+        x = fwd.node_reps.value[start:start + n]
+        start += n
+        mean = np.add.reduce(x) / n                         # x.mean(axis=0)
+        share = np.divide(x, n * mean, out=np.zeros(x.shape), where=mean > 0)
+        winners = x.argmax(axis=0)                          # first occurrence = lowest index
+        pred = (phi[k:k + 1] @ w + b)[0]                    # as a one-molecule forward pass
+        row = []
+        for t, j in enumerate(cols):
+            scores = share @ values[k, t, :h]
+            np.add.at(scores, winners, values[k, t, h:])
+            terms = list(map(AttributionTerm, order[k][t], map(BLOCKS.__getitem__, blocks[k][t]),
+                             *(r[k][t] for r in ranked)))
+            row.append(AttributionMap(g.id, targets[t], float(pred[j]), float(b[j]), terms,
+                                      scores.tolist()))
+        maps.append(row)
+    return maps
 
 
 def contribution_terms(model: Model, graph: MolecularGraph, target: str) -> AttributionMap:
     """Per-representation terms w_ij * tanh(f(x_i)) for one molecule and target."""
-    return _decompose(model, graph, target)[0]
+    return replace(per_atom_map(model, graph, target), atom_scores=[])
 
 
 def per_atom_map(model: Model, graph: MolecularGraph, target: str) -> AttributionMap:
-    """Contribution terms plus per-atom scores that sum to prediction - bias.
-
-    With n atoms, node reps x_ki (post-ReLU, so non-negative) and mean
-    m_i = sum_k x_ki / n, atom k receives w_i * tanh(m_i) * x_ki / (n * m_i)
-    of every mean-block term, and nothing when m_i = 0 (then every x_ki and
-    the term are 0). Every max-block term w_i * tanh(max_k x_ki) goes whole
-    to the atom attaining the maximum (ties toward the lowest atom index).
-    """
-    amap, x = _decompose(model, graph, target)
-    w = model.out_weight.value[:, _target_index(model, target)]
-    h = model.config.conv_hidden
-    n = x.shape[0]
-    mean = x.mean(axis=0)
-    share = np.divide(x, n * mean, out=np.zeros_like(x), where=mean > 0)
-    scores = share @ (w[:h] * np.tanh(mean))
-    winners = x.argmax(axis=0)                    # first occurrence = lowest index
-    np.add.at(scores, winners, w[h:] * np.tanh(x[winners, np.arange(h)]))
-    amap.atom_scores = scores.tolist()
-    return amap
+    """Terms plus atom scores summing to prediction - bias; see :func:`atom_maps`."""
+    return atom_maps(model, [graph], [target])[0][0]
 
 
 def _by_magnitude(values, mass_fraction: float):
@@ -145,12 +152,11 @@ def _by_magnitude(values, mass_fraction: float):
     if not 0.0 < mass_fraction <= 1.0:
         raise ValueError("mass_fraction must lie in (0, 1]")
     mags = np.abs(np.asarray(values, dtype=np.float64).ravel())
-    total = mags.sum()
-    if total == 0.0:
+    order = (-mags).argsort(kind="stable")
+    csum = mags[order].cumsum()
+    if not csum.size or csum[-1] == 0.0:
         raise ValueError("all weights are zero")
-    order = np.lexsort((np.arange(mags.size), -mags))
-    csum = np.cumsum(mags[order])
-    return int(np.searchsorted(csum, mass_fraction * csum[-1], side="left")) + 1, order
+    return int(csum.searchsorted(mass_fraction * csum[-1], side="left")) + 1, order
 
 
 def concentration_count(values, mass_fraction: float) -> int:
@@ -164,8 +170,7 @@ def top_representations(model: Model, target: str, mass_fraction: float = 0.9) -
     Indices are ordered by |w_ij| descending, ties toward the lower index;
     the returned sets are nested as mass_fraction grows.
     """
-    _require_explainable(model)
-    j = _target_index(model, target)
+    (j,) = _columns(model, [target])
     count, order = _by_magnitude(model.out_weight.value[:, j], mass_fraction)
     return order[:count].tolist()
 
@@ -215,12 +220,7 @@ def rank_correlation(a, b) -> float:
     return float((ra * rb).sum() / np.sqrt((ra * ra).sum() * (rb * rb).sum()))
 
 
-def fukui_compare(
-    model: Model,
-    graphs: list[MolecularGraph],
-    target: str,
-    polarity: str,
-):
+def fukui_compare(model: Model, graphs: list[MolecularGraph], target: str, polarity: str):
     """Spearman correlation of per-atom scores against a Fukui polarity.
 
     Every graph must carry Fukui data and at least 2 atoms. Returns
@@ -229,17 +229,15 @@ def fukui_compare(
     """
     if polarity not in POLARITIES:
         raise ValueError(f"polarity must be one of {POLARITIES}")
-    if not graphs:
-        raise ValueError("no molecules to compare")
-    column = 0 if polarity == "f_minus" else 1
-    per_molecule = []
+    column = POLARITIES.index(polarity)
     for g in graphs:
         if g.fukui is None:
             raise ValueError(f"molecule {g.id!r} carries no fukui data")
         if g.num_atoms < 2:
             raise ValueError(f"molecule {g.id!r} has fewer than 2 atoms")
-        scores = per_atom_map(model, g, target).atom_scores
-        fk = [pair[column] for pair in g.fukui]
-        per_molecule.append((g.id, rank_correlation(scores, fk)))
+    per_molecule = [
+        (g.id, rank_correlation(amap.atom_scores, [pair[column] for pair in g.fukui]))
+        for g, (amap,) in zip(graphs, atom_maps(model, graphs, [target]))
+    ]
     mean = float(np.mean([c for _, c in per_molecule]))
     return per_molecule, mean

@@ -13,6 +13,12 @@ addition and scalar (0-d) operands.
 
 Subgradient conventions at kinks: relu'(0) = 0, abs'(0) = 0, segment max
 ties route the gradient to the lowest row index.
+
+Per-op overhead dominates a one-molecule forward pass (about 9 atoms), so
+the ops are trimmed of bookkeeping: requires_grad is plain boolean tests, a
+padded gather fills one buffer and reads it with ``take``, and segment max
+checks for empty segments without counting their rows. The values are the
+same bits as the untrimmed ops.
 """
 
 from __future__ import annotations
@@ -104,10 +110,6 @@ def _wrap(x) -> Node:
     return x if isinstance(x, Node) else Node(x)
 
 
-def _needs(*nodes: Node) -> bool:
-    return any(n.requires_grad for n in nodes)
-
-
 def _check_pair(a: Node, b: Node, op: str):
     # Same shape, or either side a scalar (0-d).
     if a.shape != b.shape and a.shape != () and b.shape != ():
@@ -130,7 +132,7 @@ def sub(a, b) -> Node:
     def bw(g):
         return (_reduce_to(g, a.shape), _reduce_to(-g, b.shape))
 
-    return Node(out, _needs(a, b), (a, b), bw)
+    return Node(out, a.requires_grad or b.requires_grad, (a, b), bw)
 
 
 def mul(a, b) -> Node:
@@ -144,7 +146,7 @@ def mul(a, b) -> Node:
         gb = _reduce_to(g * a.value, b.shape) if b.requires_grad else None
         return (ga, gb)
 
-    return Node(out, _needs(a, b), (a, b), bw)
+    return Node(out, a.requires_grad or b.requires_grad, (a, b), bw)
 
 
 def div(a, b) -> Node:
@@ -158,7 +160,7 @@ def div(a, b) -> Node:
         gb = _reduce_to(-g * a.value / (b.value ** 2), b.shape) if b.requires_grad else None
         return (ga, gb)
 
-    return Node(out, _needs(a, b), (a, b), bw)
+    return Node(out, a.requires_grad or b.requires_grad, (a, b), bw)
 
 
 def matmul(a, b) -> Node:
@@ -175,7 +177,7 @@ def matmul(a, b) -> Node:
         gb = a.value.T @ g if b.requires_grad else None
         return (ga, gb)
 
-    return Node(out, _needs(a, b), (a, b), bw)
+    return Node(out, a.requires_grad or b.requires_grad, (a, b), bw)
 
 
 def linear(x, w, b) -> Node:
@@ -198,7 +200,7 @@ def linear(x, w, b) -> Node:
         gb = g.sum(axis=0) if b.requires_grad else None
         return (gx, gw, gb)
 
-    return Node(out, _needs(x, w, b), (x, w, b), bw)
+    return Node(out, x.requires_grad or w.requires_grad or b.requires_grad, (x, w, b), bw)
 
 
 def relu(x) -> Node:
@@ -297,7 +299,7 @@ def concat_cols(a, b) -> Node:
     def bw(g):
         return (g[:, :split], g[:, split:])
 
-    return Node(out, _needs(a, b), (a, b), bw)
+    return Node(out, a.requires_grad or b.requires_grad, (a, b), bw)
 
 
 def slice_rows(x, start: int, stop: int) -> Node:
@@ -339,7 +341,10 @@ def _table(x: Node, table) -> np.ndarray:
 
 def _gather(v: np.ndarray, table: np.ndarray, fill: float = 0.0) -> np.ndarray:
     # (table rows, slots, features); the padding index len(v) reads fill.
-    return np.concatenate([v, np.full((1, v.shape[1]), fill)])[table]
+    padded = np.empty((v.shape[0] + 1, v.shape[1]))
+    padded[:-1] = v
+    padded[-1] = fill
+    return padded.take(table, axis=0)
 
 
 def neighbor_sum(x, table) -> Node:
@@ -371,12 +376,14 @@ def segment_aggregate(x, table, kind: str) -> Node:
     x = _wrap(x)
     table = _table(x, table)
     n, d = x.shape
-    counts = (table < n).sum(axis=1, keepdims=True)
-    if not counts.all():
-        raise ValueError("segment_aggregate: empty segment")
     if kind == "mean":
+        counts = (table < n).sum(axis=1, keepdims=True)
+        if not counts.all():
+            raise ValueError("segment_aggregate: empty segment")
         out = _gather(x.value, table).sum(axis=1) / counts
     elif kind == "max":
+        if not (table < n).any(axis=1).all():
+            raise ValueError("segment_aggregate: empty segment")
         vals = _gather(x.value, table, -np.inf)
         out = vals.max(axis=1)
     else:
@@ -478,7 +485,8 @@ def batch_norm(x, state: BatchNormState, mode: str) -> Node:
             dx = g * gamma.value * inv if x.requires_grad else None
             return (dx, dgamma, dbeta)
 
-    return Node(out, _needs(x, gamma, beta), (x, gamma, beta), bw)
+    needs = x.requires_grad or gamma.requires_grad or beta.requires_grad
+    return Node(out, needs, (x, gamma, beta), bw)
 
 
 def reduce(x, kind: str) -> Node:

@@ -20,10 +20,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .attribution import (
+    atom_maps,
     concentration_count,
-    contribution_terms,
     fukui_compare,
-    per_atom_map,
     rank_correlation,
     top_representations,
 )
@@ -152,8 +151,7 @@ def cmd_crossval(args) -> int:
     return EXIT_OK
 
 
-def _attribution_document(model: Model, graph, target: str) -> dict:
-    amap = per_atom_map(model, graph, target)
+def _attribution_document(amap, graph, top: list[int]) -> dict:
     doc = {
         "format_version": FORMAT_VERSION,
         "molecule_id": amap.molecule_id,
@@ -171,7 +169,7 @@ def _attribution_document(model: Model, graph, target: str) -> dict:
             for t in amap.terms
         ],
         "atom_scores": amap.atom_scores,
-        "top_representations": top_representations(model, target, 0.9),
+        "top_representations": top,
     }
     if graph.fukui is not None and graph.num_atoms >= 2:
         spearman = {}
@@ -199,12 +197,15 @@ def cmd_explain(args) -> int:
     unknown = [i for i in ids if i not in by_id]
     if unknown:
         raise UsageError(f"unknown molecule id(s): {', '.join(unknown)}")
-    for mol_id in ids:
-        doc = _attribution_document(model, by_id[mol_id], args.target)
-        text = json.dumps(doc, indent=2)
+    if not ids:
+        return EXIT_OK
+    graphs = [by_id[mol_id] for mol_id in ids]
+    top = top_representations(model, args.target, 0.9)
+    for graph, (amap,) in zip(graphs, atom_maps(model, graphs, [args.target])):
+        text = json.dumps(_attribution_document(amap, graph, top), indent=2)
         print(text)
         if args.out:
-            _write_text(Path(args.out) / f"attribution_{mol_id}_{args.target}.json", text + "\n")
+            _write_text(Path(args.out) / f"attribution_{graph.id}_{args.target}.json", text + "\n")
     return EXIT_OK
 
 
@@ -318,12 +319,11 @@ def _selftest_checks():
     def _attribution():
         graphs = generate_graphs(ToySpec(num_molecules=20, seed=11))
         model = init_model(ModelConfig(targets=["size"], conv_hidden=8, num_conv_layers=2, seed=3))
-        for g in graphs:
-            amap = contribution_terms(model, g, "size")
-            total = sum(t.value for t in amap.terms) + amap.bias
-            if abs(total - amap.prediction) > 1e-9:
-                return False
-        return True
+        return all(
+            abs(sum(t.value for t in amap.terms) + amap.bias - amap.prediction) < 1e-9
+            and abs(sum(amap.atom_scores) - (amap.prediction - amap.bias)) < 1e-9
+            for (amap,) in atom_maps(model, graphs, ["size"])
+        )
 
     yield "attribution completeness", _attribution
 

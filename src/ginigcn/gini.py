@@ -16,6 +16,7 @@ backward reads the same sorted form as the coefficient and its gradient.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,10 +41,23 @@ class GiniConfig:
     g_floor: float = 1e-6
 
     def __post_init__(self):
-        if self.m < 0:
+        if not finite_number("m", self.m) >= 0.0:
             raise ValueError("m must be nonnegative")
-        if not 0.0 < self.g_floor < 1.0:
+        if not 0.0 < finite_number("g_floor", self.g_floor) < 1.0:
             raise ValueError("g_floor must lie in (0, 1)")
+
+
+def finite_number(name: str, value) -> float:
+    """``value`` as a float; ValueError unless it is a finite real number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return number
 
 
 @dataclass
@@ -62,10 +76,17 @@ def _sorted_coeffs(n: int) -> np.ndarray:
     return 2.0 * np.arange(1, n + 1) - n - 1.0
 
 
-def _sorted_form(a: np.ndarray):
-    # (order, num, den) of 1-d magnitudes: gini = num / den, den = 0 iff all are 0
+def _sorted_form(w: np.ndarray):
+    # (order, num, den) of |w| flattened: gini = num / den, den = 0 iff all are 0
+    a = np.abs(w.ravel())
     order = np.argsort(a, kind="stable")
     return order, (a[order] * _sorted_coeffs(a.size)).sum(), a.sum() * a.size
+
+
+def _coefficient(form) -> float:
+    _, num, den = form
+    # near-equal values can leave a tiny negative summation residual
+    return max(float(num / den), 0.0) if den else 0.0
 
 
 def gini(w) -> float:
@@ -74,24 +95,23 @@ def gini(w) -> float:
     An all-zero vector is degenerate and returns 0; callers that divide by
     the coefficient are expected to apply their floor.
     """
-    a = np.abs(np.asarray(w, dtype=np.float64).ravel())
-    if a.size < 1:
+    w = np.asarray(w, dtype=np.float64)
+    if w.size < 1:
         raise ValueError("gini requires at least one weight")
-    _, num, den = _sorted_form(a)
-    # near-equal values can leave a tiny negative summation residual
-    return max(float(num / den), 0.0) if den else 0.0
+    return _coefficient(_sorted_form(w))
 
 
-def _scaled_gradient(w: np.ndarray, scale) -> np.ndarray:
-    # Gradient of scale * gini(w) with the sort order held fixed; sign(0) = 0.
-    a = np.abs(w.ravel())
-    order, num, den = _sorted_form(a)
+def _scaled_gradient(w: np.ndarray, scale, form) -> np.ndarray:
+    # Gradient of scale * gini(w) with the sort order of form = _sorted_form(w)
+    # held fixed; sign(0) = 0.
+    order, num, den = form
     if den == 0.0:
         return np.zeros_like(w)
-    da = np.zeros(a.size)
-    da[order] += _sorted_coeffs(a.size) * (scale / den)
+    n = w.size
+    da = np.zeros(n)
+    da[order] += _sorted_coeffs(n) * (scale / den)
     # den * den, not den ** 2: pow() on a numpy scalar can round differently
-    da += (-scale * num / (den * den)) * a.size
+    da += (-scale * num / (den * den)) * n
     return (da * np.sign(w.ravel())).reshape(w.shape)
 
 
@@ -101,7 +121,18 @@ def gini_gradient(w) -> np.ndarray:
     Valid away from magnitude ties (rank changes) and uses the subgradient
     sign(0) = 0 at zero entries; :func:`regularized_loss` scales it per block.
     """
-    return _scaled_gradient(np.asarray(w, dtype=np.float64), 1.0)
+    w = np.asarray(w, dtype=np.float64)
+    return _scaled_gradient(w, 1.0, _sorted_form(w))
+
+
+def _blocks(w_out, block_size: int) -> tuple[np.ndarray, np.ndarray]:
+    w = np.asarray(w_out, dtype=np.float64)
+    if w.ndim != 2 or w.shape[0] != 2 * block_size:
+        raise ad.ShapeError(
+            f"output weights of shape {w.shape} do not split into two "
+            f"blocks of {block_size} rows"
+        )
+    return w[:block_size], w[block_size:]
 
 
 def layer_gini_blocks(w_out, block_size: int) -> tuple[float, float]:
@@ -111,13 +142,8 @@ def layer_gini_blocks(w_out, block_size: int) -> tuple[float, float]:
     aggregation, rows [block_size, 2*block_size) on the max aggregation.
     Each block is flattened across all targets before the coefficient.
     """
-    w = np.asarray(w_out, dtype=np.float64)
-    if w.ndim != 2 or w.shape[0] != 2 * block_size:
-        raise ad.ShapeError(
-            f"output weights of shape {w.shape} do not split into two "
-            f"blocks of {block_size} rows"
-        )
-    return gini(w[:block_size]), gini(w[block_size:])
+    mean_block, max_block = _blocks(w_out, block_size)
+    return gini(mean_block), gini(max_block)
 
 
 def regularized_loss(raw: ad.Node, w_out: ad.Node, block_size: int,
@@ -130,8 +156,9 @@ def regularized_loss(raw: ad.Node, w_out: ad.Node, block_size: int,
     through both blocks' sorted forms, into the output weights (exact away
     from magnitude ties; none where the floor is active).
     """
-    w = w_out.value
-    g_mean, g_max = layer_gini_blocks(w, block_size)
+    blocks = _blocks(w_out.value, block_size)
+    forms = [_sorted_form(b) for b in blocks]  # each block sorted once, for value and gradient
+    g_mean, g_max = map(_coefficient, forms)
     live = g_mean * g_max > cfg.g_floor ** 2
     clamped = g_mean * g_max if live else cfg.g_floor ** 2
     exponent = -0.5 * cfg.m
@@ -142,8 +169,8 @@ def regularized_loss(raw: ad.Node, w_out: ad.Node, block_size: int,
         if not (live and w_out.requires_grad):
             return (g_raw, None)
         g_product = g * raw.value * factor * exponent / clamped  # through exp, then log
-        return (g_raw, np.concatenate([_scaled_gradient(w[:block_size], g_product * g_max),
-                                       _scaled_gradient(w[block_size:], g_product * g_mean)]))
+        return (g_raw, np.concatenate([_scaled_gradient(blocks[0], g_product * g_max, forms[0]),
+                                       _scaled_gradient(blocks[1], g_product * g_mean, forms[1])]))
 
     reg = ad.Node(raw.value * factor, raw.requires_grad or w_out.requires_grad, (raw, w_out), bw)
     report = RegularizerReport(

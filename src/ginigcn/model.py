@@ -16,7 +16,10 @@ fingerprint and the output layer.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -48,6 +51,12 @@ class CheckpointError(ValueError):
     """Unreadable or structurally invalid checkpoint document."""
 
 
+def check_integer(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass
 class ModelConfig:
     targets: list[str]
@@ -58,6 +67,8 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("num_conv_layers", "conv_hidden", "intermediate_dim", "seed"):
+            check_integer(name, getattr(self, name))
         if not isinstance(self.targets, list) or not all(isinstance(t, str) for t in self.targets):
             raise ValueError("targets must be a list of names (strings)")
         if not self.targets:
@@ -72,6 +83,8 @@ class ModelConfig:
             raise ValueError("conv_hidden must be at least 1")
         if self.intermediate_dim < 1:
             raise ValueError("intermediate_dim must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
     @property
     def fingerprint_dim(self) -> int:
@@ -125,6 +138,12 @@ def _padded(rows, fill: int) -> np.ndarray:
     return np.array(flat, dtype=np.intp).reshape(len(rows), width)
 
 
+def _atom_table(begins: np.ndarray, sizes: np.ndarray, fill: int) -> np.ndarray:
+    # Row k lists rows begins[k] .. begins[k] + sizes[k] - 1, then fill.
+    cols = np.arange(sizes.max())
+    return np.where(cols < sizes[:, None], begins[:, None] + cols, fill)
+
+
 class PackedDataset:
     """A list of molecules featurized once into contiguous arrays.
 
@@ -137,17 +156,21 @@ class PackedDataset:
     def __init__(self, graphs: list[MolecularGraph]):
         if not graphs:
             raise ValueError("empty batch")
-        self.x = np.vstack([featurize(g) for g in graphs])
+        self.x = np.concatenate([featurize(g) for g in graphs])
         n = self.x.shape[0]
-        self.offsets = np.cumsum([0] + [g.num_atoms for g in graphs])
+        starts = list(accumulate((g.num_atoms for g in graphs[:-1]), initial=0))
+        self.offsets = np.array(starts + [n])
         rows = [[v] for v in range(n)]
-        for g, offset in zip(graphs, self.offsets.tolist()):
+        for g, offset in zip(graphs, starts):
             for i, j, _ in g.bonds:
                 rows[offset + i].append(offset + j)
                 rows[offset + j].append(offset + i)
         self.neighbors = _padded(rows, n)
-        # the widest neighbor row of each molecule
-        self.widths = np.maximum.reduceat([len(r) for r in rows], self.offsets[:-1])
+
+    @cached_property
+    def widths(self) -> np.ndarray:
+        """The widest neighbor row of each molecule, padding excluded."""
+        return np.maximum.reduceat((self.neighbors < len(self.x)).sum(axis=1), self.offsets[:-1])
 
     def take(self, indices):
         """Node features and the index tables ``neighbors`` and ``atoms`` of a batch.
@@ -171,9 +194,7 @@ class PackedDataset:
         # Bonds stay within a molecule, and a molecule's rows all move by one
         # shift, so each neighbor row stays ascending.
         neighbors = np.where(table < self.x.shape[0], table + shift[:, None], m)
-        cols = np.arange(sizes.max())
-        atoms = np.where(cols < sizes[:, None], begins[:, None] + cols, m)
-        return self.x[rows], neighbors, atoms
+        return self.x[rows], neighbors, _atom_table(begins, sizes, m)
 
 
 class Model:
@@ -228,8 +249,11 @@ class Model:
             node.zero_grad()
 
     def forward_batch(self, graphs: list[MolecularGraph], mode: str = "eval") -> BatchForward:
-        """Run the full network over a batch of molecules."""
-        return self.forward(*PackedDataset(graphs).take(np.arange(len(graphs))), mode)
+        """Run the full network over a batch of molecules, packed in input order."""
+        packed = PackedDataset(graphs)
+        starts, ends = packed.offsets[:-1], packed.offsets[1:]
+        atoms = _atom_table(starts, ends - starts, ends[-1])
+        return self.forward(packed.x, packed.neighbors, atoms, mode)
 
     def forward(self, x: np.ndarray, neighbors: np.ndarray, atoms: np.ndarray,
                 mode: str = "eval") -> BatchForward:

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .gini import GiniConfig, RegularizerReport, regularized_loss
-from .model import Model, ModelConfig, PackedDataset, init_model
+from .gini import GiniConfig, RegularizerReport, finite_number, regularized_loss
+from .model import Model, ModelConfig, PackedDataset, check_integer, init_model
 from .molecules import MolecularGraph, kfold_split
 
 __all__ = [
@@ -57,12 +57,21 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "seed"):
+            check_integer(name, getattr(self, name))
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 2:
             raise ValueError("batch_size must be at least 2 (batch norm train mode)")
-        if self.learning_rate <= 0:
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
+        if not finite_number("learning_rate", self.learning_rate) > 0.0:
             raise ValueError("learning_rate must be positive")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= finite_number(name, getattr(self, name)) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1)")
+        if not finite_number("adam_epsilon", self.adam_epsilon) > 0.0:
+            raise ValueError("adam_epsilon must be positive")
 
 
 @dataclass

@@ -1,11 +1,16 @@
 """Attribution decomposition, Fukui functions, and rank correlation tests."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ginigcn import model as model_module
 from ginigcn.attribution import (
+    AttributionMap,
+    AttributionTerm,
+    atom_maps,
     concentration_count,
     condensed_fukui,
     contribution_terms,
@@ -14,9 +19,11 @@ from ginigcn.attribution import (
     rank_correlation,
     top_representations,
 )
-from ginigcn.model import ModelConfig, init_model
+from ginigcn.gini import GiniConfig
+from ginigcn.model import Model, ModelConfig, init_model
 from ginigcn.molecules import parse_smiles_subset
 from ginigcn.toydata import ToySpec, generate_graphs
+from ginigcn.training import TrainConfig, train
 
 from conftest import relabel_graph
 
@@ -103,6 +110,94 @@ def test_terms_scores_and_top_set_match_the_scalar_construction():
             count = concentration_count(mags, fraction)
             order = np.lexsort((np.arange(mags.size), -mags))
             assert top_representations(model, target, fraction) == [int(i) for i in order[:count]]
+
+
+# ------------------------------------------------------------ batched maps
+
+
+def one_molecule_map(model, graph, target):
+    """The map from one forward pass over one molecule, as built before batching."""
+    j = model.config.targets.index(target)
+    fwd = model.forward_batch([graph])
+    phi, x = fwd.fingerprint.value[0], fwd.node_reps.value
+    weights = model.out_weight.value[:, j]
+    h = model.config.conv_hidden
+    values = weights * phi
+    order = np.argsort(-np.abs(values), kind="stable")
+    terms = [AttributionTerm(index=i, block="mean" if i < h else "max", weight=w, activation=a,
+                             value=v)
+             for i, w, a, v in zip(order.tolist(), weights[order].tolist(), phi[order].tolist(),
+                                   values[order].tolist())]
+    n = x.shape[0]
+    mean = x.mean(axis=0)
+    share = np.divide(x, n * mean, out=np.zeros_like(x), where=mean > 0)
+    scores = share @ (weights[:h] * np.tanh(mean))
+    winners = x.argmax(axis=0)
+    np.add.at(scores, winners, weights[h:] * np.tanh(x[winners, np.arange(h)]))
+    return AttributionMap(molecule_id=graph.id, target=target,
+                          prediction=float(fwd.output.value[0, j]),
+                          bias=float(model.out_bias.value[j]), terms=terms,
+                          atom_scores=scores.tolist())
+
+
+def test_atom_maps_match_one_molecule_passes():
+    # One batched pass over 120 molecules and 3 targets gives the same bits,
+    # prediction included, as one forward pass per molecule; so do the
+    # one-molecule entry points. Checked on a trained model, then with zeroed
+    # weight rows and equal magnitudes, which tie |value| across terms.
+    targets = ["oxygen_count", "size", "branch_count"]
+    model = init_model(ModelConfig(targets=targets, conv_hidden=16, num_conv_layers=3, seed=2))
+    train(model, generate_graphs(ToySpec(num_molecules=60, seed=3)),
+          TrainConfig(epochs=3, batch_size=10, learning_rate=3e-3, gini=GiniConfig(m=10.0)))
+    graphs = generate_graphs(ToySpec(num_molecules=120, seed=19))
+    for tied in (False, True):
+        if tied:
+            w = model.out_weight.value
+            w[[0, 5, 17, 30], :] = 0.0
+            w[[2, 3], 0], w[7, 0] = 0.25, -0.25
+        batched = atom_maps(model, graphs, targets)
+        for k, g in enumerate(graphs):
+            for t, target in enumerate(targets):
+                # repr tells -0.0 from 0.0 and round-trips every float exactly
+                expected = repr(one_molecule_map(model, g, target))
+                same = repr(batched[k][t]) == expected
+                if k < 40:
+                    same &= repr(per_atom_map(model, g, target)) == expected
+                    terms_only = contribution_terms(model, g, target)
+                    same &= terms_only.atom_scores == []
+                    same &= repr(replace(terms_only, atom_scores=batched[k][t].atom_scores)) == expected
+                assert same, f"{g.id} / {target}, tied weights: {tied}"
+
+
+def test_atom_maps_run_one_forward_pass(monkeypatch):
+    model = small_model(targets=("a", "b"))
+    graphs = generate_graphs(ToySpec(num_molecules=25, seed=8))
+    calls = {"forward": 0, "featurize": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Model, "forward", counted("forward", Model.forward))
+    monkeypatch.setattr(model_module, "featurize", counted("featurize", model_module.featurize))
+    maps = atom_maps(model, graphs, ["b", "a"])
+    assert calls == {"forward": 1, "featurize": 25}
+    assert [[m.target for m in row] for row in maps] == [["b", "a"]] * 25
+    assert [row[0].molecule_id for row in maps] == [g.id for g in graphs]
+
+
+def test_atom_maps_errors():
+    graphs = [parse_smiles_subset("CC")]
+    with pytest.raises(ValueError, match="explainable"):
+        atom_maps(small_model(variant="reference"), graphs, ["y"])
+    with pytest.raises(ValueError, match="available: y"):
+        atom_maps(small_model(), graphs, ["y", "nope"])
+    for empty_graphs, empty_targets in ((True, False), (False, True)):
+        with pytest.raises(ValueError, match="at least one"):
+            atom_maps(small_model(), [] if empty_graphs else graphs,
+                      [] if empty_targets else ["y"])
 
 
 def test_reference_variant_rejected():

@@ -93,8 +93,9 @@ def test_segment_max_tie_break_independent_of_listing_order():
 
 def test_segment_errors():
     x = ad.constant(np.zeros((3, 1)))
-    with pytest.raises(ValueError, match="empty segment"):
-        ad.segment_aggregate(x, [[0, 1, 2], [3, 3, 3]], "mean")  # all padding
+    for kind in ("mean", "max"):
+        with pytest.raises(ValueError, match="empty segment"):
+            ad.segment_aggregate(x, [[0, 1, 2], [3, 3, 3]], kind)  # all padding
     with pytest.raises(ValueError, match="unknown aggregation"):
         ad.segment_aggregate(x, [[0, 1, 2]], "median")
     with pytest.raises(ad.ShapeError):

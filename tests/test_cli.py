@@ -1,10 +1,12 @@
 """Command-line interface: exit codes, outputs, idempotency."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from ginigcn.attribution import per_atom_map
 from ginigcn.cli import main
 from ginigcn.model import ModelConfig, checkpoint_document, init_model, load_checkpoint
 from ginigcn.molecules import load_dataset, write_dataset
@@ -97,6 +99,31 @@ def test_unknown_config_target_exits_1(workspace, capsys):
     assert "mystery" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, field, value", [
+    ("gini", "m", float("nan")),
+    ("gini", "m", float("inf")),
+    ("train", "learning_rate", float("nan")),
+    ("train", "learning_rate", float("inf")),
+    ("train", "adam_beta1", 2.0),
+    ("train", "adam_epsilon", -1),
+    ("train", "epochs", 1.5),
+    ("train", "batch_size", 2.5),
+    ("train", "seed", 1.5),
+    ("model", "conv_hidden", 2.5),
+    ("model", "seed", 1.5),
+])
+def test_bad_run_config_value_exits_1(workspace, capsys, section, field, value):
+    tmp, config_path, config = workspace
+    part = config["train"]["gini"] if section == "gini" else config[section]
+    part[field] = value
+    rewrite(config_path, config)  # json writes NaN and Infinity, and reads them back
+    assert main(["train", "--config", str(config_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: invalid config: ") and captured.err.count("\n") == 1
+    assert field in captured.err
+    assert not (tmp / "run" / "checkpoint.json").exists()
+
+
 def test_seed_override_changes_run(workspace):
     tmp, config_path, _ = workspace
     assert main(["train", "--config", str(config_path), "--out", str(tmp / "a"), "--seed", "1"]) == 0
@@ -140,6 +167,28 @@ def test_explain_document(workspace, capsys):
     assert total == pytest.approx(doc["prediction"], abs=1e-9)
     assert doc["top_representations"]
     assert len(doc["atom_scores"]) >= 1
+
+
+def test_explain_all_ids_match_one_molecule_maps(workspace, capsys):
+    # explain builds every document from one batched pass; each must carry
+    # the exact numbers of that molecule's own one-molecule map
+    ckpt, tmp = trained_checkpoint(workspace)
+    capsys.readouterr()
+    dataset = tmp / "toy.jsonl"
+    assert main(["explain", "--checkpoint", str(ckpt), "--dataset", str(dataset),
+                 "--target", "oxygen_count"]) == 0
+    out, decoder, docs = capsys.readouterr().out, json.JSONDecoder(), []
+    while out.strip():
+        doc, end = decoder.raw_decode(out.lstrip())
+        docs.append(doc)
+        out = out.lstrip()[end:]
+    model, graphs = load_checkpoint(ckpt), load_dataset(dataset)
+    assert [d["molecule_id"] for d in docs] == [g.id for g in graphs]
+    for doc, g in zip(docs, graphs):
+        amap = per_atom_map(model, g, "oxygen_count")
+        assert doc["prediction"] == amap.prediction and doc["bias"] == amap.bias
+        assert doc["terms"] == [asdict(t) for t in amap.terms]
+        assert doc["atom_scores"] == amap.atom_scores
 
 
 def test_explain_unknown_target(workspace, capsys):
@@ -204,8 +253,6 @@ def test_gini_report_corrupted_checkpoint(tmp_path, capsys):
 def test_fukui_compare_command(workspace, capsys):
     ckpt, tmp = trained_checkpoint(workspace)
     model = load_checkpoint(ckpt)
-    from ginigcn.attribution import per_atom_map
-
     graphs = [g for g in load_dataset(tmp / "toy.jsonl") if g.num_atoms >= 3][:6]
     for g in graphs:
         scores = per_atom_map(model, g, "size").atom_scores

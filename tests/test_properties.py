@@ -1,13 +1,17 @@
-"""Property tests for the three inputs a user controls.
+"""Property tests for the four inputs a user controls.
 
 A SMILES string, a JSONL dataset document and a checkpoint document each
 either load or raise the documented error (MoleculeError, CheckpointError);
 no other exception escapes, and a checkpoint that loads has target names and
-batch-norm settings a fresh model could have. Examples are derandomized and capped so that
-the suite stays reproducible and quick.
+batch-norm settings a fresh model could have. The training part of a run
+config either builds a TrainConfig with finite, in-range fields, which then
+trains or diverges, or raises ValueError. Examples are derandomized and
+capped so that the suite stays reproducible and quick.
 """
 
 import json
+import math
+from dataclasses import replace
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -19,7 +23,10 @@ from ginigcn.model import (
     init_model,
     model_from_document,
 )
+from ginigcn.gini import GiniConfig
 from ginigcn.molecules import MoleculeError, featurize, parse_graph_file, parse_smiles_subset
+from ginigcn.toydata import ToySpec, generate_graphs
+from ginigcn.training import TrainConfig, TrainingDivergence, train
 
 
 def examples(count):
@@ -190,3 +197,46 @@ def test_checkpoint_loads_or_raises_checkpoint_error(doc):
     assert len(set(targets)) == len(targets) == model.out_weight.value.shape[1]
     for _, state in model.batch_norm_states():
         assert 0.0 < state.momentum < 1.0 and state.epsilon > 0.0
+
+
+# -------------------------------------------------------------- run configs
+
+COUNT = either(SMALL_INTS | st.floats(-1.0, 4.0) | st.booleans())
+RATE = either(st.floats() | st.floats(0.0, 1.0) | SMALL_INTS | HUGE_INTS)
+TRAIN_SECTION = st.fixed_dictionaries(
+    {"epochs": COUNT, "batch_size": COUNT},
+    optional={"learning_rate": RATE, "adam_beta1": RATE, "adam_beta2": RATE,
+              "adam_epsilon": RATE, "seed": COUNT,
+              "gini": st.fixed_dictionaries({}, optional={"m": RATE, "g_floor": RATE})},
+)
+TOY_GRAPHS = generate_graphs(ToySpec(num_molecules=8, seed=3))
+
+
+@examples(150)
+@given(TRAIN_SECTION)
+@example({"epochs": 1, "batch_size": 4, "gini": {"m": math.nan}})
+@example({"epochs": 1, "batch_size": 4, "gini": {"m": math.inf}})
+@example({"epochs": 1, "batch_size": 4, "learning_rate": math.nan})
+@example({"epochs": 1, "batch_size": 4, "learning_rate": math.inf})
+@example({"epochs": 1, "batch_size": 4, "learning_rate": 10 ** 400})
+@example({"epochs": 1, "batch_size": 4, "adam_beta1": 2.0})
+@example({"epochs": 1, "batch_size": 4, "adam_epsilon": -1})
+@example({"epochs": 1.5, "batch_size": 4})
+@example({"epochs": 1, "batch_size": 2.5})
+@example({"epochs": True, "batch_size": 4})
+def test_train_config_builds_or_raises_value_error(section):
+    section = dict(section)
+    try:
+        cfg = TrainConfig(gini=GiniConfig(**section.pop("gini", {})), **section)
+    except ValueError:
+        return
+    for value in (cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon,
+                  cfg.gini.m, cfg.gini.g_floor):
+        assert math.isfinite(value)
+    assert 0.0 <= cfg.adam_beta1 < 1.0 and 0.0 <= cfg.adam_beta2 < 1.0
+    assert cfg.learning_rate > 0.0 and cfg.adam_epsilon > 0.0 and cfg.gini.m >= 0.0
+    model = init_model(ModelConfig(targets=["size"], conv_hidden=2, num_conv_layers=1, seed=0))
+    try:
+        train(model, TOY_GRAPHS, replace(cfg, epochs=min(cfg.epochs, 2)))
+    except TrainingDivergence:
+        pass  # a finite, in-range step size can still be large enough to diverge
