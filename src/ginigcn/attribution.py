@@ -11,7 +11,9 @@ minus the bias (the completeness axiom of Sundararajan et al. 2017).
 :func:`atom_maps` is the one attribution path: one pack, one eval forward
 pass and one weight product for many molecules and targets, with the same
 bits as one molecule at a time (each prediction is the molecule's own
-fingerprint row times the output weights plus the bias).
+fingerprint row times the output weights plus the bias). Callers that map a
+whole dataset take it in slices of ``CHUNK`` molecules, which keeps the same
+bits and bounds memory by one slice's forward pass and maps.
 
 Condensed Fukui functions are consumed from per-atom electron populations
 computed externally; this module only does the subtraction and the rank
@@ -43,6 +45,7 @@ __all__ = [
 
 BLOCKS = ("mean", "max")  # the block of index i is BLOCKS[i >= H]
 POLARITIES = ("f_minus", "f_plus")
+CHUNK = 256  # molecules per forward pass when mapping a whole dataset
 
 
 @dataclass(slots=True)
@@ -134,6 +137,13 @@ def atom_maps(model: Model, graphs: list[MolecularGraph],
                                       scores.tolist()))
         maps.append(row)
     return maps
+
+
+def _chunked_atom_maps(model: Model, graphs: list[MolecularGraph], targets: list[str]):
+    """Yield the rows of ``atom_maps(model, graphs, targets)``, one CHUNK-molecule pass at a time."""
+    # an empty list still reaches atom_maps, which rejects it
+    for start in range(0, len(graphs) or 1, CHUNK):
+        yield from atom_maps(model, graphs[start:start + CHUNK], targets)
 
 
 def contribution_terms(model: Model, graph: MolecularGraph, target: str) -> AttributionMap:
@@ -230,6 +240,7 @@ def fukui_compare(model: Model, graphs: list[MolecularGraph], target: str, polar
     if polarity not in POLARITIES:
         raise ValueError(f"polarity must be one of {POLARITIES}")
     column = POLARITIES.index(polarity)
+    _columns(model, [target])
     for g in graphs:
         if g.fukui is None:
             raise ValueError(f"molecule {g.id!r} carries no fukui data")
@@ -237,7 +248,7 @@ def fukui_compare(model: Model, graphs: list[MolecularGraph], target: str, polar
             raise ValueError(f"molecule {g.id!r} has fewer than 2 atoms")
     per_molecule = [
         (g.id, rank_correlation(amap.atom_scores, [pair[column] for pair in g.fukui]))
-        for g, (amap,) in zip(graphs, atom_maps(model, graphs, [target]))
+        for g, (amap,) in zip(graphs, _chunked_atom_maps(model, graphs, [target]))
     ]
     mean = float(np.mean([c for _, c in per_molecule]))
     return per_molecule, mean

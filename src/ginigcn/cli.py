@@ -20,6 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .attribution import (
+    _chunked_atom_maps,
     atom_maps,
     concentration_count,
     fukui_compare,
@@ -28,8 +29,6 @@ from .attribution import (
 )
 from .gini import GiniConfig, gini, layer_gini_blocks, regularized_loss
 from .model import (
-    CheckpointError,
-    Model,
     ModelConfig,
     init_model,
     load_checkpoint,
@@ -37,7 +36,7 @@ from .model import (
     checkpoint_document,
     save_checkpoint,
 )
-from .molecules import MoleculeError, load_dataset, parse_graph_file, format_graph_file
+from .molecules import load_dataset, parse_graph_file, format_graph_file
 from .toydata import ToySpec, generate_graphs
 from .training import TrainConfig, TrainingDivergence, cross_validate, train
 
@@ -60,35 +59,29 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _load_json(path: Path, what: str) -> dict:
-    if not path.exists():
-        raise UsageError(f"{what} not found: {path}")
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise UsageError(f"unreadable {what} {path}: {e}") from None
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"{what} must be a JSON object")
+    return dict(value)
 
 
 def _run_config(path: Path, seed_override, out_override):
-    doc = _load_json(path, "config")
     try:
+        doc = _object(json.loads(path.read_text(encoding="utf-8")), "the config document")
         dataset_path = Path(doc["dataset"])
-        model_doc = dict(doc["model"])
-        train_doc = dict(doc.get("train", {}))
-    except KeyError as e:
-        raise UsageError(f"config missing field {e.args[0]!r}") from None
-    out_dir = Path(out_override) if out_override else Path(doc.get("output_dir", "."))
-    if seed_override is not None:
-        model_doc["seed"] = seed_override
-        train_doc["seed"] = seed_override
-    gini_doc = train_doc.pop("gini", {})
-    try:
+        model_doc = _object(doc["model"], "'model'")
+        train_doc = _object(doc.get("train", {}), "'train'")
+        out_dir = Path(out_override or doc.get("output_dir", "."))
+        if seed_override is not None:
+            model_doc["seed"] = seed_override
+            train_doc["seed"] = seed_override
+        gini_doc = _object(train_doc.pop("gini", {}), "'gini'")
         model_cfg = ModelConfig(**model_doc)
         train_cfg = TrainConfig(gini=GiniConfig(**gini_doc), **train_doc)
+    except KeyError as e:
+        raise UsageError(f"invalid config: missing field {e.args[0]!r}") from None
     except (TypeError, ValueError) as e:
         raise UsageError(f"invalid config: {e}") from None
-    if not dataset_path.exists():
-        raise UsageError(f"dataset not found: {dataset_path}")
     graphs = load_dataset(dataset_path)
     dataset_targets = set()
     for g in graphs:
@@ -96,8 +89,6 @@ def _run_config(path: Path, seed_override, out_override):
     missing = [t for t in model_cfg.targets if t not in dataset_targets]
     if missing:
         raise UsageError(f"config targets not present in dataset: {', '.join(missing)}")
-    if train_cfg.gini.m > 0 and model_cfg.variant != "explainable":
-        raise UsageError("Gini regularization requires the explainable variant")
     return graphs, model_cfg, train_cfg, out_dir
 
 
@@ -112,12 +103,7 @@ def _write_json(path: Path, doc: dict):
 
 def cmd_train(args) -> int:
     graphs, model_cfg, train_cfg, out_dir = _run_config(args.config, args.seed, args.out)
-    model = init_model(model_cfg)
-    try:
-        model, stats, history = train(model, graphs, train_cfg)
-    except TrainingDivergence as e:
-        print(f"training diverged: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
+    model, stats, history = train(init_model(model_cfg), graphs, train_cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, out_dir / "checkpoint.json")
     _write_json(out_dir / "target_stats.json", stats.to_dict())
@@ -130,24 +116,15 @@ def cmd_train(args) -> int:
 
 def cmd_crossval(args) -> int:
     graphs, model_cfg, train_cfg, out_dir = _run_config(args.config, args.seed, args.out)
-    if args.folds < 2:
-        raise UsageError(f"--folds must be at least 2, got {args.folds}")
-    if args.folds > len(graphs):
-        raise UsageError(f"--folds {args.folds} exceeds dataset size {len(graphs)}")
-    try:
-        mean_mae, per_fold = cross_validate(graphs, model_cfg, train_cfg, k=args.folds)
-    except TrainingDivergence as e:
-        print(f"training diverged: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
+    mean_mae, per_fold = cross_validate(graphs, model_cfg, train_cfg, k=args.folds)
     header = ["fold"] + [f"mae_{t}" for t in model_cfg.targets]
     lines = ["\t".join(header)]
     for f, fold in enumerate(per_fold):
         lines.append("\t".join([str(f + 1)] + [repr(fold[t]) for t in model_cfg.targets]))
     lines.append("\t".join(["mean"] + [repr(mean_mae[t]) for t in model_cfg.targets]))
     table = "\n".join(lines) + "\n"
-    print(table, end="")
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_text(out_dir / "crossval.tsv", table)
+    print(table, end="")
     return EXIT_OK
 
 
@@ -184,14 +161,9 @@ def _attribution_document(amap, graph, top: list[int]) -> dict:
 
 
 def cmd_explain(args) -> int:
-    model = _load_model(args.checkpoint)
-    if model.config.variant != "explainable":
-        raise UsageError("explain requires an explainable-variant checkpoint")
-    if args.target not in model.config.targets:
-        raise UsageError(
-            f"unknown target {args.target!r}; available: {', '.join(model.config.targets)}"
-        )
-    graphs = _load_graphs(args.dataset)
+    model = load_checkpoint(args.checkpoint)
+    top = top_representations(model, args.target, 0.9)
+    graphs = load_dataset(args.dataset)
     by_id = {g.id: g for g in graphs}
     ids = [s for s in args.ids.split(",") if s] if args.ids else list(by_id)
     unknown = [i for i in ids if i not in by_id]
@@ -200,17 +172,16 @@ def cmd_explain(args) -> int:
     if not ids:
         return EXIT_OK
     graphs = [by_id[mol_id] for mol_id in ids]
-    top = top_representations(model, args.target, 0.9)
-    for graph, (amap,) in zip(graphs, atom_maps(model, graphs, [args.target])):
+    for graph, (amap,) in zip(graphs, _chunked_atom_maps(model, graphs, [args.target])):
         text = json.dumps(_attribution_document(amap, graph, top), indent=2)
-        print(text)
         if args.out:
-            _write_text(Path(args.out) / f"attribution_{graph.id}_{args.target}.json", text + "\n")
+            _write_text(args.out / f"attribution_{graph.id}_{args.target}.json", text + "\n")
+        print(text)
     return EXIT_OK
 
 
 def cmd_gini_report(args) -> int:
-    model = _load_model(args.checkpoint)
+    model = load_checkpoint(args.checkpoint)
     w = model.out_weight.value
     doc = {
         "format_version": FORMAT_VERSION,
@@ -232,46 +203,25 @@ def cmd_gini_report(args) -> int:
             entry["weights_holding_90pct_mass"] = None
         doc["per_target"][name] = entry
     text = json.dumps(doc, indent=2)
-    print(text)
     if args.out:
-        _write_text(Path(args.out) / "gini_report.json", text + "\n")
+        _write_text(args.out / "gini_report.json", text + "\n")
+    print(text)
     return EXIT_OK
 
 
 def cmd_fukui_compare(args) -> int:
-    model = _load_model(args.checkpoint)
-    if model.config.variant != "explainable":
-        raise UsageError("fukui-compare requires an explainable-variant checkpoint")
-    if args.target not in model.config.targets:
-        raise UsageError(
-            f"unknown target {args.target!r}; available: {', '.join(model.config.targets)}"
-        )
-    graphs = _load_graphs(args.dataset)
-    for g in graphs:
-        if g.fukui is None:
-            raise UsageError(f"record {g.id!r} carries no fukui data")
-    per_molecule, mean = fukui_compare(model, graphs, args.target, args.polarity)
+    model = load_checkpoint(args.checkpoint)
+    per_molecule, mean = fukui_compare(model, load_dataset(args.dataset), args.target,
+                                       args.polarity)
     lines = ["\t".join(["molecule_id", f"spearman_{args.polarity}"])]
     for mol_id, coef in per_molecule:
         lines.append(f"{mol_id}\t{coef!r}")
     lines.append(f"mean\t{mean!r}")
     table = "\n".join(lines) + "\n"
-    print(table, end="")
     if args.out:
-        _write_text(Path(args.out) / "fukui_compare.tsv", table)
+        _write_text(args.out / "fukui_compare.tsv", table)
+    print(table, end="")
     return EXIT_OK
-
-
-def _load_model(path: Path) -> Model:
-    if not Path(path).exists():
-        raise UsageError(f"checkpoint not found: {path}")
-    return load_checkpoint(path)
-
-
-def _load_graphs(path: Path):
-    if not Path(path).exists():
-        raise UsageError(f"dataset not found: {path}")
-    return load_dataset(path)
 
 
 def _selftest_checks():
@@ -406,15 +356,18 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; the only place an exception becomes an exit code and a line."""
+    args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except (UsageError, MoleculeError, CheckpointError, ValueError) as e:
+        # a diverging run is reported once, by train's own finiteness check,
+        # not also by numpy's overflow warnings
+        with np.errstate(all="ignore"):
+            return args.fn(args)
+    except (ValueError, OSError) as e:  # usage, config, dataset, checkpoint and file errors
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except TrainingDivergence as e:
-        print(f"error: {e}", file=sys.stderr)
+        print(f"error: training diverged: {e}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ginigcn import model as model_module
+from ginigcn import attribution, model as model_module
 from ginigcn.attribution import (
     AttributionMap,
     AttributionTerm,
@@ -186,6 +186,28 @@ def test_atom_maps_run_one_forward_pass(monkeypatch):
     assert calls == {"forward": 1, "featurize": 25}
     assert [[m.target for m in row] for row in maps] == [["b", "a"]] * 25
     assert [row[0].molecule_id for row in maps] == [g.id for g in graphs]
+
+
+def test_chunked_maps_equal_one_pass(monkeypatch):
+    # 300 molecules: one full slice of CHUNK and a partial one
+    model = small_model(targets=("a", "b"))
+    graphs = generate_graphs(ToySpec(num_molecules=300, seed=23))
+    assert len(graphs) % attribution.CHUNK != 0
+    whole = atom_maps(model, graphs, ["b", "a"])
+    calls = {"forward": 0}
+    forward = Model.forward
+
+    def counted(*args, **kwargs):
+        calls["forward"] += 1
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(Model, "forward", counted)
+    chunked = list(attribution._chunked_atom_maps(model, graphs, ["b", "a"]))
+    assert calls["forward"] == -(-len(graphs) // attribution.CHUNK)
+    assert len(chunked) == len(whole)
+    assert all(repr(c) == repr(w) for c, w in zip(chunked, whole))
+    with pytest.raises(ValueError, match="at least one"):
+        list(attribution._chunked_atom_maps(model, [], ["a"]))
 
 
 def test_atom_maps_errors():
@@ -481,6 +503,14 @@ def test_missing_fukui_rejected():
     g = parse_smiles_subset("CC")
     with pytest.raises(ValueError, match="no fukui"):
         fukui_compare(model, [g], "y", "f_minus")
+
+
+def test_fukui_compare_checks_the_model_before_the_data():
+    g = parse_smiles_subset("CC")  # carries no fukui data
+    with pytest.raises(ValueError, match="explainable"):
+        fukui_compare(small_model(variant="reference"), [g], "y", "f_minus")
+    with pytest.raises(ValueError, match="available: y"):
+        fukui_compare(small_model(), [g], "nope", "f_minus")
 
 
 def test_bad_polarity_rejected():

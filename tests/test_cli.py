@@ -1,11 +1,16 @@
 """Command-line interface: exit codes, outputs, idempotency."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ginigcn import attribution
 from ginigcn.attribution import per_atom_map
 from ginigcn.cli import main
 from ginigcn.model import ModelConfig, checkpoint_document, init_model, load_checkpoint
@@ -124,6 +129,22 @@ def test_bad_run_config_value_exits_1(workspace, capsys, section, field, value):
     assert not (tmp / "run" / "checkpoint.json").exists()
 
 
+def test_diverging_run_exits_2_with_one_line(workspace):
+    # numpy overflows on the way to the non-finite loss; only the error line shows
+    tmp, config_path, config = workspace
+    config["train"]["learning_rate"] = 1e300
+    rewrite(config_path, config)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ginigcn.cli", "train", "--config", str(config_path)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: training diverged: ") and proc.stderr.count("\n") == 1
+    assert not (tmp / "run" / "checkpoint.json").exists()
+
+
 def test_seed_override_changes_run(workspace):
     tmp, config_path, _ = workspace
     assert main(["train", "--config", str(config_path), "--out", str(tmp / "a"), "--seed", "1"]) == 0
@@ -189,6 +210,18 @@ def test_explain_all_ids_match_one_molecule_maps(workspace, capsys):
         assert doc["prediction"] == amap.prediction and doc["bias"] == amap.bias
         assert doc["terms"] == [asdict(t) for t in amap.terms]
         assert doc["atom_scores"] == amap.atom_scores
+
+
+def test_explain_in_slices_matches_one_pass(workspace, capsys, monkeypatch):
+    ckpt, tmp = trained_checkpoint(workspace)
+    argv = ["explain", "--checkpoint", str(ckpt), "--dataset", str(tmp / "toy.jsonl"),
+            "--target", "size"]
+    capsys.readouterr()
+    assert main(argv) == 0
+    one_pass = capsys.readouterr().out
+    monkeypatch.setattr(attribution, "CHUNK", 5)  # 24 molecules: four full slices and a partial one
+    assert main(argv) == 0
+    assert capsys.readouterr().out == one_pass
 
 
 def test_explain_unknown_target(workspace, capsys):
@@ -334,3 +367,40 @@ def test_explain_null_dataset_value_exits_1(tmp_path, capsys, field):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: line 1: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", ["config_dir", "dataset_dir_in_config", "checkpoint_dir",
+                                  "explain_dataset_dir", "train_out_file", "explain_out_file",
+                                  "gini_report_out_file", "config_list", "config_model_number",
+                                  "config_train_list", "config_dataset_number"])
+def test_file_and_config_document_errors_exit_1(workspace, capsys, case):
+    tmp, config_path, config = workspace
+    ckpt = tmp / "ckpt.json"
+    ckpt.write_text(json.dumps(untrained_checkpoint()))
+    afile = tmp / "afile"
+    afile.write_text("")
+
+    def explain(dataset):
+        return ["explain", "--checkpoint", str(ckpt), "--dataset", str(dataset), "--target", "size"]
+
+    edits = {"dataset_dir_in_config": {"dataset": str(tmp)},
+             "config_model_number": {"model": 5},
+             "config_train_list": {"train": [1]},
+             "config_dataset_number": {"dataset": 5}}
+    if case in edits:
+        rewrite(config_path, {**config, **edits[case]})
+    elif case == "config_list":
+        rewrite(config_path, [config])
+    train_argv = ["train", "--config", str(config_path)]
+    argv = {"config_dir": ["train", "--config", str(tmp)],
+            "checkpoint_dir": ["gini-report", "--checkpoint", str(tmp)],
+            "explain_dataset_dir": explain(tmp),
+            "train_out_file": train_argv + ["--out", str(afile)],
+            "explain_out_file": explain(config["dataset"]) + ["--out", str(afile)],
+            "gini_report_out_file": ["gini-report", "--checkpoint", str(ckpt), "--out", str(afile)],
+            }.get(case, train_argv)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not (tmp / "run" / "checkpoint.json").exists()
