@@ -14,6 +14,13 @@ addition and scalar (0-d) operands.
 Subgradient conventions at kinks: relu'(0) = 0, abs'(0) = 0, segment max
 ties route the gradient to the lowest row index.
 
+A node that does not require grad keeps no parents and no backward closure,
+so nothing it was computed from stays alive through it. While the tape is
+off (:func:`_set_recording`), every node built is such a node, whatever its
+operands: ``Model.forward`` turns it off for eval mode, which never runs
+backward, so a pass frees each intermediate once the next op has read it.
+The ops and their arithmetic are the same with the tape on or off.
+
 Per-op overhead dominates a one-molecule forward pass (about 9 atoms), so
 the ops are trimmed of bookkeeping: requires_grad is plain boolean tests, a
 padded gather fills one buffer and reads it with ``take``, and segment max
@@ -61,15 +68,27 @@ class ShapeError(ValueError):
     """Operand shapes incompatible with an operation's contract."""
 
 
+# Whether ops record the tape; off, every node built is a non-grad node.
+_recording = True
+
+
+def _set_recording(on: bool) -> bool:
+    """Turn tape recording on or off and return the previous setting."""
+    global _recording
+    previous, _recording = _recording, bool(on)
+    return previous
+
+
 class Node:
     """A tensor in the computation graph.
 
     A trainable leaf (``requires_grad`` and no parents) holds a same-shape
     ``grad`` buffer that accumulates across :func:`backward` calls until reset
     with :meth:`zero_grad`. Every other node's ``grad`` is ``None``:
-    intermediates pass their gradient through to their parents. Graphs are
-    acyclic by construction (operations only ever link to previously created
-    nodes).
+    intermediates pass their gradient through to their parents. A node that
+    does not require grad keeps no parents and no backward closure. Graphs
+    are acyclic by construction (operations only ever link to previously
+    created nodes).
     """
 
     __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward")
@@ -79,10 +98,13 @@ class Node:
         if arr.ndim > 2:
             raise ShapeError(f"tensors are limited to 2 dims, got shape {arr.shape}")
         self.value = arr
-        self.requires_grad = bool(requires_grad)
-        self._parents = tuple(parents)
-        self.grad = np.zeros_like(arr) if self.requires_grad and not self._parents else None
-        self._backward = backward
+        self.requires_grad = bool(requires_grad) and _recording
+        if self.requires_grad:
+            self._parents = tuple(parents)
+            self.grad = None if self._parents else np.zeros_like(arr)
+            self._backward = backward
+        else:
+            self._parents, self.grad, self._backward = (), None, None
 
     @property
     def shape(self):
@@ -206,13 +228,16 @@ def linear(x, w, b) -> Node:
 def relu(x) -> Node:
     """Elementwise max(x, 0); derivative 0 at the kink."""
     x = _wrap(x)
+    out = np.fmax(x.value, 0.0)  # NaN -> 0
+    out += 0.0  # fmax(-0.0, 0.0) may be -0.0; this makes it +0.0
+    if not (x.requires_grad and _recording):
+        return Node(out)
     mask = x.value > 0.0
-    out = np.where(mask, x.value, 0.0)
 
     def bw(g):
         return (g * mask,)
 
-    return Node(out, x.requires_grad, (x,), bw)
+    return Node(out, True, (x,), bw)
 
 
 def tanh(x) -> Node:
@@ -332,6 +357,10 @@ def reshape(x, shape) -> Node:
     return Node(out, x.requires_grad, (x,), bw)
 
 
+# Table rows that neighbor_sum gathers in one piece.
+BLOCK = 1024
+
+
 def _table(x: Node, table) -> np.ndarray:
     table = np.asarray(table, dtype=np.intp)
     if x.value.ndim != 2 or table.ndim != 2:
@@ -339,12 +368,32 @@ def _table(x: Node, table) -> np.ndarray:
     return table
 
 
-def _gather(v: np.ndarray, table: np.ndarray, fill: float = 0.0) -> np.ndarray:
-    # (table rows, slots, features); the padding index len(v) reads fill.
+def _padded(v: np.ndarray, fill: float) -> np.ndarray:
+    # v with one more row of fill, read by the padding index len(v).
     padded = np.empty((v.shape[0] + 1, v.shape[1]))
     padded[:-1] = v
     padded[-1] = fill
-    return padded.take(table, axis=0)
+    return padded
+
+
+def _gather(v: np.ndarray, table: np.ndarray, fill: float = 0.0) -> np.ndarray:
+    # (table rows, slots, features); the padding index len(v) reads fill.
+    return _padded(v, fill).take(table, axis=0)
+
+
+def _table_sum(v: np.ndarray, table: np.ndarray) -> np.ndarray:
+    # _gather(v, table).sum(axis=1), BLOCK table rows at a time: the
+    # (rows, slots, features) temporary never exceeds one block, and each
+    # row adds its slots left to right as in the one-shot sum.
+    padded = _padded(v, 0.0)
+    n = table.shape[0]
+    if n <= BLOCK:  # one block: skip the output buffer (a one-molecule call)
+        return padded.take(table, axis=0).sum(axis=1)
+    out = np.empty((n, v.shape[1]))
+    for start in range(0, n, BLOCK):
+        stop = start + BLOCK
+        padded.take(table[start:stop], axis=0).sum(axis=1, out=out[start:stop])
+    return out
 
 
 def neighbor_sum(x, table) -> Node:
@@ -358,10 +407,10 @@ def neighbor_sum(x, table) -> Node:
     if table.shape[0] != x.shape[0]:
         raise ShapeError(f"neighbor_sum: {table.shape[0]} table rows for {x.shape[0]} rows")
     # Slots add left to right; ascending rows match the dense (A + I) @ x sum order bit for bit.
-    out = _gather(x.value, table).sum(axis=1)
+    out = _table_sum(x.value, table)
 
     def bw(g):
-        return (_gather(g, table).sum(axis=1),)
+        return (_table_sum(g, table),)
 
     return Node(out, x.requires_grad, (x,), bw)
 

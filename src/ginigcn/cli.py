@@ -65,13 +65,23 @@ def _object(value, what: str) -> dict:
     return dict(value)
 
 
+def _path(value, what: str) -> Path:
+    if not isinstance(value, (str, Path)):
+        raise TypeError(f"{what} must be a path string, got {value!r}")
+    return Path(value)
+
+
 def _run_config(path: Path, seed_override, out_override):
+    """The graphs, model and train configs and output directory of a run config.
+
+    The output directory is created here, so an unusable one fails before training.
+    """
     try:
         doc = _object(json.loads(path.read_text(encoding="utf-8")), "the config document")
-        dataset_path = Path(doc["dataset"])
+        dataset_path = _path(doc["dataset"], "'dataset'")
         model_doc = _object(doc["model"], "'model'")
         train_doc = _object(doc.get("train", {}), "'train'")
-        out_dir = Path(out_override or doc.get("output_dir", "."))
+        out_dir = _path(out_override or doc.get("output_dir", "."), "'output_dir'")
         if seed_override is not None:
             model_doc["seed"] = seed_override
             train_doc["seed"] = seed_override
@@ -89,6 +99,7 @@ def _run_config(path: Path, seed_override, out_override):
     missing = [t for t in model_cfg.targets if t not in dataset_targets]
     if missing:
         raise UsageError(f"config targets not present in dataset: {', '.join(missing)}")
+    out_dir.mkdir(parents=True, exist_ok=True)
     return graphs, model_cfg, train_cfg, out_dir
 
 
@@ -104,7 +115,6 @@ def _write_json(path: Path, doc: dict):
 def cmd_train(args) -> int:
     graphs, model_cfg, train_cfg, out_dir = _run_config(args.config, args.seed, args.out)
     model, stats, history = train(init_model(model_cfg), graphs, train_cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, out_dir / "checkpoint.json")
     _write_json(out_dir / "target_stats.json", stats.to_dict())
     _write_text(out_dir / "history.tsv", history.as_table())

@@ -257,17 +257,25 @@ class Model:
 
     def forward(self, x: np.ndarray, neighbors: np.ndarray, atoms: np.ndarray,
                 mode: str = "eval") -> BatchForward:
-        """Run the full network over a batch from :meth:`PackedDataset.take`."""
-        h = ad.constant(x)
-        for ell in range(self.config.num_conv_layers):
-            h = conv_forward(h, neighbors, self.conv_weights[ell], self.conv_biases[ell],
-                             self.conv_bn[ell], mode)
-        fp = fingerprint(h, atoms)
-        head = fp
-        if self.config.variant == VARIANT_REFERENCE:
-            head = ad.relu(ad.batch_norm(ad.linear(fp, self.mid_weight, self.mid_bias),
-                                         self.mid_bn, mode))
-        out = ad.linear(head, self.out_weight, self.out_bias)
+        """Run the full network over a batch from :meth:`PackedDataset.take`.
+
+        Eval mode records no tape: its nodes require no grad and keep no
+        parents, so each intermediate is freed once the next layer has read it.
+        """
+        recording = ad._set_recording(mode != "eval")
+        try:
+            h = ad.constant(x)
+            for ell in range(self.config.num_conv_layers):
+                h = conv_forward(h, neighbors, self.conv_weights[ell], self.conv_biases[ell],
+                                 self.conv_bn[ell], mode)
+            fp = fingerprint(h, atoms)
+            head = fp
+            if self.config.variant == VARIANT_REFERENCE:
+                head = ad.relu(ad.batch_norm(ad.linear(fp, self.mid_weight, self.mid_bias),
+                                             self.mid_bn, mode))
+            out = ad.linear(head, self.out_weight, self.out_bias)
+        finally:
+            ad._set_recording(recording)
         return BatchForward(output=out, fingerprint=fp, node_reps=h)
 
     def predict(self, graphs: list[MolecularGraph], mode: str = "eval") -> np.ndarray:

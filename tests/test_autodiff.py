@@ -48,6 +48,16 @@ def test_relu_forward_backward():
     assert np.array_equal(x.grad, [0.0, 1.0])
 
 
+def test_relu_matches_where_bit_for_bit():
+    big = np.finfo(np.float64).max
+    special = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                        1.5, -1.5, big, -big])
+    x = np.stack([special, special[::-1]])
+    reference = np.where(x > 0.0, x, 0.0)
+    for node in (ad.constant(x), ad.parameter(x)):
+        assert np.array_equal(ad.relu(node).value.view(np.int64), reference.view(np.int64))
+
+
 def test_tanh_at_zero():
     x = ad.parameter([0.0])
     out = ad.tanh(x)
@@ -191,6 +201,48 @@ def test_diamond_graph_gradient():
     root = ad.reduce(ad.mul(sq, sq), "sum")
     ad.backward(root)
     assert np.allclose(x.grad, [108.0])
+
+
+def test_nodes_built_with_the_tape_off_keep_no_parents():
+    w, b = ad.parameter([[1.0, -2.0]]), ad.parameter([0.5, 0.5])
+    x = ad.constant([[1.0], [-1.0]])
+    previous = ad._set_recording(False)
+    try:
+        off = ad.relu(ad.linear(x, w, b))
+        leaf = ad.parameter([1.0])
+    finally:
+        ad._set_recording(previous)
+    assert previous is True
+    assert not off.requires_grad and off._parents == () and off._backward is None
+    assert not leaf.requires_grad and leaf.grad is None
+    on = ad.relu(ad.linear(x, w, b))
+    assert on.requires_grad and on._parents
+    assert np.array_equal(on.value, off.value)
+    ad.backward(ad.reduce(on, "sum"))
+    assert np.array_equal(w.grad, [[1.0, -1.0]])
+
+
+def test_non_grad_nodes_keep_no_parents_with_the_tape_on():
+    out = ad.tanh(ad.neighbor_sum(ad.constant([[1.0], [2.0]]), [[0, 1], [0, 1]]))
+    assert not out.requires_grad and out._parents == () and out._backward is None
+
+
+def test_neighbor_sum_blocks_equal_one_shot_sum():
+    # a path over more than two blocks of rows: row i lists i - 1, i, i + 1 (padded at
+    # the ends), and some rows hold only negative zeros
+    n = 2 * ad.BLOCK + 37
+    rows = np.arange(n)[:, None] + np.array([-1, 0, 1])
+    table = np.where((rows >= 0) & (rows < n), rows, n)
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(n, 5))
+    x[rng.random(x.shape) < 0.3] = -0.0
+    x[ad.BLOCK - 3:ad.BLOCK + 3] = -0.0
+    g = x[::-1].copy()
+    out = ad.neighbor_sum(ad.parameter(x), table)
+    assert np.array_equal(out.value.view(np.int64),
+                          ad._gather(x, table).sum(axis=1).view(np.int64))
+    (grad,) = out._backward(g)
+    assert np.array_equal(grad.view(np.int64), ad._gather(g, table).sum(axis=1).view(np.int64))
 
 
 def test_ndim_limit():

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ginigcn import attribution
+from ginigcn import attribution, cli, training
 from ginigcn.attribution import per_atom_map
 from ginigcn.cli import main
 from ginigcn.model import ModelConfig, checkpoint_document, init_model, load_checkpoint
@@ -404,3 +404,29 @@ def test_file_and_config_document_errors_exit_1(workspace, capsys, case):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert not (tmp / "run" / "checkpoint.json").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "crossval"])
+def test_out_file_fails_before_training(workspace, capsys, monkeypatch, command):
+    tmp, config_path, _ = workspace
+    afile = tmp / "afile"
+    afile.write_text("")
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained although the output directory is unusable")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    monkeypatch.setattr(training, "train", no_training)
+    assert main([command, "--config", str(config_path), "--out", str(afile)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field", ["dataset", "output_dir"])
+def test_config_path_field_of_wrong_type_is_named(workspace, capsys, field):
+    _, config_path, config = workspace
+    rewrite(config_path, {**config, field: 5})
+    assert main(["train", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: invalid config: '{field}' must be a path string, got 5\n"

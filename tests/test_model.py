@@ -349,6 +349,52 @@ def test_predict_memory_linear_in_atoms():
     assert per_atom[1] < 1.2 * per_atom[0], per_atom
 
 
+def test_predict_peak_below_eight_rows_per_atom():
+    # eval records no tape and neighbour sums gather in row blocks, so a pass
+    # holds a few (atoms, H) arrays at a time; a taped pass peaked near 17 rows
+    h = 64
+    model = init_model(ModelConfig(targets=["size"], conv_hidden=h, num_conv_layers=3, seed=0))
+    graphs = generate_graphs(ToySpec(num_molecules=500, seed=8))
+    atoms = sum(g.num_atoms for g in graphs)
+    tracemalloc.start()
+    try:
+        model.predict(graphs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / atoms < 8 * h * 8, peak / atoms
+
+
+@pytest.mark.parametrize("variant", ["explainable", "reference"])
+def test_eval_forward_records_no_tape(variant):
+    cfg = ModelConfig(targets=["a", "b"], variant=variant, conv_hidden=8, num_conv_layers=2,
+                      intermediate_dim=6, seed=3)
+    model, fresh = init_model(cfg), init_model(cfg)
+    graphs = generate_graphs(ToySpec(num_molecules=10, seed=5))
+    fwd = model.forward_batch(graphs, mode="eval")
+    for node in (fwd.output, fwd.fingerprint, fwd.node_reps):
+        assert not node.requires_grad and node._parents == () and node._backward is None
+    # train mode still records, and backward after an eval pass gives the
+    # gradients of a model that never ran one
+    for m in (model, fresh):
+        out = m.forward_batch(graphs, mode="train").output
+        assert out.requires_grad and out._parents
+        ad.backward(ad.reduce(out, "sum"))
+    assert np.any(model.conv_weights[0].grad != 0.0)
+    for (name, a), (_, b) in zip(model.named_parameters(), fresh.named_parameters()):
+        assert np.array_equal(a.grad, b.grad), name
+
+
+def test_eval_forward_restores_the_tape_when_it_raises():
+    model = init_model(ModelConfig(targets=["a"], conv_hidden=4, num_conv_layers=1, seed=0))
+    x, neighbors, atoms = PackedDataset(generate_graphs(ToySpec(num_molecules=3, seed=1))).take(
+        [0, 1, 2])
+    with pytest.raises(ad.ShapeError):
+        model.forward(x[:, :3], neighbors, atoms, mode="eval")
+    assert ad._recording is True
+    assert model.forward(x, neighbors, atoms, mode="train").output.requires_grad
+
+
 def test_empty_batch_rejected():
     model = init_model(ModelConfig(targets=["a"], conv_hidden=2, num_conv_layers=1))
     with pytest.raises(ValueError):
