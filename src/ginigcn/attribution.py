@@ -12,8 +12,9 @@ minus the bias (the completeness axiom of Sundararajan et al. 2017).
 pass and one weight product for many molecules and targets, with the same
 bits as one molecule at a time (each prediction is the molecule's own
 fingerprint row times the output weights plus the bias). Callers that map a
-whole dataset take it in slices of ``CHUNK`` molecules, which keeps the same
-bits and bounds memory by one slice's forward pass and maps.
+whole dataset take it in :func:`ginigcn.model.eval_slices`, the slices of
+``model.SLICE`` molecules that ``Model.predict`` also runs, which keeps the
+same bits and bounds memory by one slice's forward pass and maps.
 
 Condensed Fukui functions are consumed from per-atom electron populations
 computed externally; this module only does the subtraction and the rank
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import Model
+from .model import Model, eval_slices
 from .molecules import MolecularGraph
 
 __all__ = [
@@ -45,7 +46,6 @@ __all__ = [
 
 BLOCKS = ("mean", "max")  # the block of index i is BLOCKS[i >= H]
 POLARITIES = ("f_minus", "f_plus")
-CHUNK = 256  # molecules per forward pass when mapping a whole dataset
 
 
 @dataclass(slots=True)
@@ -140,10 +140,9 @@ def atom_maps(model: Model, graphs: list[MolecularGraph],
 
 
 def _chunked_atom_maps(model: Model, graphs: list[MolecularGraph], targets: list[str]):
-    """Yield the rows of ``atom_maps(model, graphs, targets)``, one CHUNK-molecule pass at a time."""
-    # an empty list still reaches atom_maps, which rejects it
-    for start in range(0, len(graphs) or 1, CHUNK):
-        yield from atom_maps(model, graphs[start:start + CHUNK], targets)
+    """Yield the rows of ``atom_maps(model, graphs, targets)``, one forward pass per eval slice."""
+    for part in eval_slices(graphs):  # an empty list is one empty slice, which atom_maps rejects
+        yield from atom_maps(model, part, targets)
 
 
 def contribution_terms(model: Model, graph: MolecularGraph, target: str) -> AttributionMap:

@@ -16,9 +16,10 @@ ties route the gradient to the lowest row index.
 
 A node that does not require grad keeps no parents and no backward closure,
 so nothing it was computed from stays alive through it. While the tape is
-off (:func:`_set_recording`), every node built is such a node, whatever its
-operands: ``Model.forward`` turns it off for eval mode, which never runs
-backward, so a pass frees each intermediate once the next op has read it.
+off (:func:`_set_recording`, one switch per thread), every node built is
+such a node, whatever its operands: ``Model.forward`` turns it off for eval
+mode, which never runs backward, so a pass frees each intermediate once the
+next op has read it.
 The ops and their arithmetic are the same with the tape on or off.
 
 Per-op overhead dominates a one-molecule forward pass (about 9 atoms), so
@@ -30,6 +31,7 @@ same bits as the untrimmed ops.
 
 from __future__ import annotations
 
+import threading
 from typing import Callable
 
 import numpy as np
@@ -68,14 +70,19 @@ class ShapeError(ValueError):
     """Operand shapes incompatible with an operation's contract."""
 
 
-# Whether ops record the tape; off, every node built is a non-grad node.
-_recording = True
+class _Tape(threading.local):
+    on = True  # each thread starts recording
+
+
+# Whether this thread's ops record the tape; off, every node built is a
+# non-grad node. Per thread, so one thread's eval pass leaves another's
+# training tape alone.
+_recording = _Tape()
 
 
 def _set_recording(on: bool) -> bool:
-    """Turn tape recording on or off and return the previous setting."""
-    global _recording
-    previous, _recording = _recording, bool(on)
+    """Turn tape recording on or off for this thread and return the previous setting."""
+    previous, _recording.on = _recording.on, bool(on)
     return previous
 
 
@@ -98,7 +105,7 @@ class Node:
         if arr.ndim > 2:
             raise ShapeError(f"tensors are limited to 2 dims, got shape {arr.shape}")
         self.value = arr
-        self.requires_grad = bool(requires_grad) and _recording
+        self.requires_grad = bool(requires_grad) and _recording.on
         if self.requires_grad:
             self._parents = tuple(parents)
             self.grad = None if self._parents else np.zeros_like(arr)
@@ -230,7 +237,7 @@ def relu(x) -> Node:
     x = _wrap(x)
     out = np.fmax(x.value, 0.0)  # NaN -> 0
     out += 0.0  # fmax(-0.0, 0.0) may be -0.0; this makes it +0.0
-    if not (x.requires_grad and _recording):
+    if not (x.requires_grad and _recording.on):
         return Node(out)
     mask = x.value > 0.0
 

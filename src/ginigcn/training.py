@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .gini import GiniConfig, RegularizerReport, finite_number, regularized_loss
-from .model import Model, ModelConfig, PackedDataset, check_integer, init_model
+from .model import Model, ModelConfig, PackedDataset, check_integer, init_model, slice_bounds
 from .molecules import MolecularGraph, kfold_split
 
 __all__ = [
@@ -37,12 +37,17 @@ __all__ = [
 
 
 class TrainingDivergence(RuntimeError):
-    """Non-finite loss encountered; carries the epoch and batch index."""
+    """Non-finite loss encountered.
 
-    def __init__(self, epoch: int, batch: int, value: float):
+    Carries the epoch and batch index, and ``history``: the :class:`History`
+    of the epochs that finished before the diverging one.
+    """
+
+    def __init__(self, epoch: int, batch: int, value: float, history: History):
         super().__init__(f"non-finite loss {value} at epoch {epoch}, batch {batch}")
         self.epoch = epoch
         self.batch = batch
+        self.history = history
 
 
 @dataclass
@@ -223,13 +228,7 @@ def adam_step(params: list[ad.Node], state: AdamState, cfg: TrainConfig) -> None
 
 def _epoch_batches(n: int, batch_size: int, seed: int, epoch: int) -> list[np.ndarray]:
     order = np.random.default_rng((seed, epoch)).permutation(n)
-    batches = [order[i:i + batch_size] for i in range(0, n, batch_size)]
-    # A lone trailing molecule could be a single atom, which train-mode batch
-    # norm cannot normalize; fold it into the previous batch instead.
-    if len(batches) > 1 and len(batches[-1]) < 2:
-        tail = batches.pop()
-        batches[-1] = np.concatenate([batches[-1], tail])
-    return batches
+    return [order[start:stop] for start, stop in slice_bounds(n, batch_size)]
 
 
 def train(
@@ -247,7 +246,8 @@ def train(
     supplied. Returns ``(model, stats, history)``; the model is mutated in
     place. Gini regularization (m > 0) requires the explainable variant.
 
-    Raises TrainingDivergence when a non-finite loss appears.
+    Raises TrainingDivergence, carrying the history so far, when a non-finite
+    loss appears.
     """
     if not graphs:
         raise ValueError("empty training set")
@@ -283,7 +283,7 @@ def train(
                     regularized_loss=float(raw.value),
                 )
             if not np.isfinite(loss.value):
-                raise TrainingDivergence(epoch + 1, b + 1, float(loss.value))
+                raise TrainingDivergence(epoch + 1, b + 1, float(loss.value), history)
             ad.backward(loss)
             adam_step(params, opt, cfg)
         val = evaluate_mae(model, stats, val_graphs) if val_graphs else {}
@@ -301,7 +301,7 @@ def evaluate_mae(model: Model, stats: TargetStats, graphs: list[MolecularGraph])
         raise ValueError("empty evaluation set")
     names = model.config.targets
     y, mask = target_matrix(graphs, names)
-    pred = stats.inverse(model.predict(graphs, mode="eval"))
+    pred = stats.inverse(model.predict(graphs))
     maes = {}
     for c, name in enumerate(names):
         observed = mask[:, c] > 0

@@ -189,11 +189,9 @@ def test_atom_maps_run_one_forward_pass(monkeypatch):
 
 
 def test_chunked_maps_equal_one_pass(monkeypatch):
-    # 300 molecules: one full slice of CHUNK and a partial one
+    # 300 molecules: two full slices of SLICE and a partial one; then
+    # 2 * SLICE + 1, whose lone trailing molecule joins the second slice
     model = small_model(targets=("a", "b"))
-    graphs = generate_graphs(ToySpec(num_molecules=300, seed=23))
-    assert len(graphs) % attribution.CHUNK != 0
-    whole = atom_maps(model, graphs, ["b", "a"])
     calls = {"forward": 0}
     forward = Model.forward
 
@@ -201,11 +199,17 @@ def test_chunked_maps_equal_one_pass(monkeypatch):
         calls["forward"] += 1
         return forward(*args, **kwargs)
 
-    monkeypatch.setattr(Model, "forward", counted)
-    chunked = list(attribution._chunked_atom_maps(model, graphs, ["b", "a"]))
-    assert calls["forward"] == -(-len(graphs) // attribution.CHUNK)
-    assert len(chunked) == len(whole)
-    assert all(repr(c) == repr(w) for c, w in zip(chunked, whole))
+    for n, passes in ((300, 3), (2 * model_module.SLICE + 1, 2)):
+        graphs = generate_graphs(ToySpec(num_molecules=n, seed=23))
+        assert len(graphs) % model_module.SLICE != 0
+        whole = atom_maps(model, graphs, ["b", "a"])
+        calls["forward"] = 0
+        with monkeypatch.context() as patch:
+            patch.setattr(Model, "forward", counted)
+            chunked = list(attribution._chunked_atom_maps(model, graphs, ["b", "a"]))
+        assert calls["forward"] == passes
+        assert len(chunked) == len(whole)
+        assert all(repr(c) == repr(w) for c, w in zip(chunked, whole))
     with pytest.raises(ValueError, match="at least one"):
         list(attribution._chunked_atom_maps(model, [], ["a"]))
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ginigcn import attribution, cli, training
+from ginigcn import cli, model as model_module, training
 from ginigcn.attribution import per_atom_map
 from ginigcn.cli import main
 from ginigcn.model import ModelConfig, checkpoint_document, init_model, load_checkpoint
@@ -219,7 +219,7 @@ def test_explain_in_slices_matches_one_pass(workspace, capsys, monkeypatch):
     capsys.readouterr()
     assert main(argv) == 0
     one_pass = capsys.readouterr().out
-    monkeypatch.setattr(attribution, "CHUNK", 5)  # 24 molecules: four full slices and a partial one
+    monkeypatch.setattr(model_module, "SLICE", 5)  # 24 molecules: four full slices and a partial one
     assert main(argv) == 0
     assert capsys.readouterr().out == one_pass
 

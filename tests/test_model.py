@@ -1,6 +1,7 @@
 """Model construction, forward semantics, and checkpoint round trips."""
 
 import json
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from ginigcn import autodiff as ad
 from ginigcn.model import (
+    SLICE,
     CheckpointError,
     ModelConfig,
     checkpoint_document,
@@ -16,9 +18,12 @@ from ginigcn.model import (
     init_model,
     model_from_document,
     PackedDataset,
+    slice_bounds,
 )
+from ginigcn.gini import GiniConfig
 from ginigcn.molecules import MolecularGraph, featurize, parse_smiles_subset
 from ginigcn.toydata import ToySpec, generate_graphs
+from ginigcn.training import TrainConfig, train
 
 
 def relabel(graph, perm):
@@ -349,6 +354,50 @@ def test_predict_memory_linear_in_atoms():
     assert per_atom[1] < 1.2 * per_atom[0], per_atom
 
 
+@pytest.mark.parametrize("variant", ["explainable", "reference"])
+def test_predict_in_slices_equals_one_pass(variant):
+    # predict runs SLICE molecules per pass; every row keeps the bits of one
+    # forward_batch over the whole list, including a folded lone trailing molecule
+    model = init_model(ModelConfig(targets=["oxygen_count", "size", "branch_count"],
+                                   variant=variant, seed=4))
+    gini = GiniConfig(m=10.0 if variant == "explainable" else 0.0)
+    train(model, generate_graphs(ToySpec(num_molecules=100, seed=30)),
+          TrainConfig(epochs=2, batch_size=25, learning_rate=3e-3, gini=gini, seed=4))
+    graphs = generate_graphs(ToySpec(num_molecules=1000, seed=31))
+    for n in (1, 2, SLICE - 1, SLICE, SLICE + 1, 2 * SLICE + 1, 1000):
+        sliced = model.predict(graphs[:n])
+        assert np.array_equal(sliced, model.forward_batch(graphs[:n]).output.value), n
+
+
+def test_predict_peak_flat_in_list_length():
+    # one slice is held at a time, so the traced peak does not grow with the list
+    model = init_model(ModelConfig(targets=["size"], conv_hidden=64, num_conv_layers=3, seed=0))
+    peaks = []
+    for count in (250, 2000):
+        graphs = generate_graphs(ToySpec(num_molecules=count, seed=8))
+        tracemalloc.start()
+        try:
+            model.predict(graphs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[1] < 1.1 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("n, size, bounds", [
+    (0, 4, [(0, 0)]),
+    (1, 4, [(0, 1)]),
+    (4, 4, [(0, 4)]),
+    (5, 4, [(0, 5)]),              # a lone trailing item joins the run before it
+    (6, 4, [(0, 4), (4, 6)]),
+    (9, 4, [(0, 4), (4, 9)]),
+    (2 * SLICE + 1, SLICE, [(0, SLICE), (SLICE, 2 * SLICE + 1)]),
+])
+def test_slice_bounds(n, size, bounds):
+    assert slice_bounds(n, size) == bounds
+
+
 def test_predict_peak_below_eight_rows_per_atom():
     # eval records no tape and neighbour sums gather in row blocks, so a pass
     # holds a few (atoms, H) arrays at a time; a taped pass peaked near 17 rows
@@ -391,13 +440,48 @@ def test_eval_forward_restores_the_tape_when_it_raises():
         [0, 1, 2])
     with pytest.raises(ad.ShapeError):
         model.forward(x[:, :3], neighbors, atoms, mode="eval")
-    assert ad._recording is True
+    assert ad._recording.on is True
     assert model.forward(x, neighbors, atoms, mode="train").output.requires_grad
+
+
+def test_eval_pass_on_another_thread_leaves_this_threads_tape_on(monkeypatch):
+    # the switch is per thread: a worker's eval pass begun in the middle of a
+    # training pass, and paused with its tape off, changes neither pass
+    model = init_model(ModelConfig(targets=["a"], conv_hidden=4, num_conv_layers=2, seed=0))
+    graphs = generate_graphs(ToySpec(num_molecules=4, seed=1))
+    paused, resume, evals = threading.Event(), threading.Event(), []
+    worker = threading.Thread(target=lambda: evals.append(model.forward_batch(graphs)))
+    tanh = ad.tanh
+
+    def interleaved_tanh(x):
+        # fingerprint's first tanh: the training pass starts the worker and
+        # goes on once the worker's eval pass has stopped here
+        if threading.current_thread() is worker:
+            if not resume.is_set():
+                paused.set()
+                resume.wait(timeout=10)
+        elif not paused.is_set():
+            worker.start()
+            assert paused.wait(timeout=10)
+        return tanh(x)
+
+    monkeypatch.setattr(ad, "tanh", interleaved_tanh)
+    try:
+        out = model.forward_batch(graphs, mode="train").output
+    finally:
+        resume.set()
+        if worker.ident is not None:
+            worker.join(timeout=10)
+    assert not worker.is_alive() and len(evals) == 1
+    assert out.requires_grad and out._parents
+    assert not evals[0].output.requires_grad and evals[0].output._parents == ()
+    ad.backward(ad.reduce(out, "sum"))
+    assert np.any(model.conv_weights[0].grad != 0.0)
 
 
 def test_empty_batch_rejected():
     model = init_model(ModelConfig(targets=["a"], conv_hidden=2, num_conv_layers=1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty batch"):
         model.predict([])
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from ginigcn import autodiff as ad
 from ginigcn import model as model_module
+from ginigcn import training
 from ginigcn.gini import GiniConfig
 from ginigcn.model import ModelConfig, init_model
 from ginigcn.molecules import Atom, MolecularGraph, MoleculeError
@@ -208,6 +209,32 @@ def test_train_divergence_reported():
     model.out_weight.value = model.out_weight.value * np.inf
     with pytest.raises(TrainingDivergence):
         train(model, graphs, toy_train_config(epochs=1, batch_size=6))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergence_carries_the_history_of_finished_epochs(monkeypatch):
+    # the weights blow up after epoch 1's validation, so epoch 2 diverges at
+    # its first batch; the error holds epoch 1's record as a clean run logs it
+    graphs = generate_graphs(ToySpec(num_molecules=12, seed=6))
+    val = generate_graphs(ToySpec(num_molecules=4, seed=7))
+    cfg = ModelConfig(targets=["size"], conv_hidden=4, num_conv_layers=1, seed=2)
+    _, _, clean = train(init_model(cfg), graphs, toy_train_config(epochs=1, batch_size=6),
+                        val_graphs=val)
+    model = init_model(cfg)
+    evaluate = training.evaluate_mae
+
+    def blow_up_after(*args):
+        maes = evaluate(*args)
+        model.out_weight.value = model.out_weight.value * np.inf
+        return maes
+
+    monkeypatch.setattr(training, "evaluate_mae", blow_up_after)
+    with pytest.raises(TrainingDivergence) as info:
+        train(model, graphs, toy_train_config(epochs=3, batch_size=6), val_graphs=val)
+    e = info.value
+    assert (e.epoch, e.batch) == (2, 1)
+    assert len(e.history) == 1 and np.isfinite(e.history.val_mae[0]["size"])
+    assert e.history.as_table() == clean.as_table()
 
 
 def test_train_empty_set_rejected():
