@@ -364,10 +364,6 @@ def reshape(x, shape) -> Node:
     return Node(out, x.requires_grad, (x,), bw)
 
 
-# Table rows that neighbor_sum gathers in one piece.
-BLOCK = 1024
-
-
 def _table(x: Node, table) -> np.ndarray:
     table = np.asarray(table, dtype=np.intp)
     if x.value.ndim != 2 or table.ndim != 2:
@@ -375,32 +371,12 @@ def _table(x: Node, table) -> np.ndarray:
     return table
 
 
-def _padded(v: np.ndarray, fill: float) -> np.ndarray:
-    # v with one more row of fill, read by the padding index len(v).
+def _gather(v: np.ndarray, table: np.ndarray, fill: float = 0.0) -> np.ndarray:
+    # (table rows, slots, features); the padding index len(v) reads fill.
     padded = np.empty((v.shape[0] + 1, v.shape[1]))
     padded[:-1] = v
     padded[-1] = fill
-    return padded
-
-
-def _gather(v: np.ndarray, table: np.ndarray, fill: float = 0.0) -> np.ndarray:
-    # (table rows, slots, features); the padding index len(v) reads fill.
-    return _padded(v, fill).take(table, axis=0)
-
-
-def _table_sum(v: np.ndarray, table: np.ndarray) -> np.ndarray:
-    # _gather(v, table).sum(axis=1), BLOCK table rows at a time: the
-    # (rows, slots, features) temporary never exceeds one block, and each
-    # row adds its slots left to right as in the one-shot sum.
-    padded = _padded(v, 0.0)
-    n = table.shape[0]
-    if n <= BLOCK:  # one block: skip the output buffer (a one-molecule call)
-        return padded.take(table, axis=0).sum(axis=1)
-    out = np.empty((n, v.shape[1]))
-    for start in range(0, n, BLOCK):
-        stop = start + BLOCK
-        padded.take(table[start:stop], axis=0).sum(axis=1, out=out[start:stop])
-    return out
+    return padded.take(table, axis=0)
 
 
 def neighbor_sum(x, table) -> Node:
@@ -414,10 +390,10 @@ def neighbor_sum(x, table) -> Node:
     if table.shape[0] != x.shape[0]:
         raise ShapeError(f"neighbor_sum: {table.shape[0]} table rows for {x.shape[0]} rows")
     # Slots add left to right; ascending rows match the dense (A + I) @ x sum order bit for bit.
-    out = _table_sum(x.value, table)
+    out = _gather(x.value, table).sum(axis=1)
 
     def bw(g):
-        return (_table_sum(g, table),)
+        return (_gather(g, table).sum(axis=1),)
 
     return Node(out, x.requires_grad, (x,), bw)
 

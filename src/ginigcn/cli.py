@@ -14,6 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -139,25 +141,7 @@ def cmd_crossval(args) -> int:
 
 
 def _attribution_document(amap, graph, top: list[int]) -> dict:
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "molecule_id": amap.molecule_id,
-        "target": amap.target,
-        "prediction": amap.prediction,
-        "bias": amap.bias,
-        "terms": [
-            {
-                "index": t.index,
-                "block": t.block,
-                "weight": t.weight,
-                "activation": t.activation,
-                "value": t.value,
-            }
-            for t in amap.terms
-        ],
-        "atom_scores": amap.atom_scores,
-        "top_representations": top,
-    }
+    doc = {"format_version": FORMAT_VERSION, **asdict(amap), "top_representations": top}
     if graph.fukui is not None and graph.num_atoms >= 2:
         spearman = {}
         for polarity, col in (("f_minus", 0), ("f_plus", 1)):
@@ -174,6 +158,9 @@ def cmd_explain(args) -> int:
     model = load_checkpoint(args.checkpoint)
     top = top_representations(model, args.target, 0.9)
     graphs = load_dataset(args.dataset)
+    repeated = [i for i, count in Counter(g.id for g in graphs).items() if count > 1]
+    if repeated:  # documents and --out file names are keyed by id
+        raise UsageError(f"{args.dataset}: repeated molecule id(s): {', '.join(repeated)}")
     by_id = {g.id: g for g in graphs}
     ids = [s for s in args.ids.split(",") if s] if args.ids else list(by_id)
     unknown = [i for i in ids if i not in by_id]

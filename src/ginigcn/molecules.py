@@ -14,6 +14,7 @@ over topology only.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,9 +123,12 @@ def _atom_from_record(rec, where: str) -> Atom:
 
 def _number(v, where: str, what: str) -> float:
     try:
-        return float(v)
+        x = float(v)
     except (TypeError, ValueError, OverflowError):
         raise MoleculeError(f"{where}: {what} must be a number, got {v!r}") from None
+    if not math.isfinite(x):
+        raise MoleculeError(f"{where}: {what} must be finite, got {v!r}")
+    return x
 
 
 def _graph_from_record(rec: dict, where: str) -> MolecularGraph:

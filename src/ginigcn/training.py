@@ -137,11 +137,11 @@ class History:
     def __len__(self) -> int:
         return len(self.raw_loss)
 
-    def as_table(self, sep: str = "\t") -> str:
-        """Delimiter-separated table with a header row, one line per epoch."""
+    def as_table(self) -> str:
+        """Tab-separated table with a header row, one line per epoch."""
         header = ["epoch", "raw_loss", "reg_loss", "g_mean", "g_max"]
         header += [f"mae_{name}" for name in self.target_names]
-        lines = [sep.join(header)]
+        lines = ["\t".join(header)]
         for e in range(len(self)):
             row = [
                 str(e + 1),
@@ -151,7 +151,7 @@ class History:
                 repr(self.g_max_block[e]),
             ]
             row += [repr(self.val_mae[e].get(name, float("nan"))) for name in self.target_names]
-            lines.append(sep.join(row))
+            lines.append("\t".join(row))
         return "\n".join(lines) + "\n"
 
 
@@ -236,15 +236,14 @@ def train(
     graphs: list[MolecularGraph],
     cfg: TrainConfig,
     val_graphs: list[MolecularGraph] | None = None,
-    stats: TargetStats | None = None,
 ):
     """Minimize the regularized loss over seeded shuffled mini-batches.
 
     ``graphs`` are featurized once, before the first epoch, so a molecule
     that cannot be featurized raises MoleculeError before any weight moves.
-    Target statistics are fitted on ``graphs`` (the training fold) unless
-    supplied. Returns ``(model, stats, history)``; the model is mutated in
-    place. Gini regularization (m > 0) requires the explainable variant.
+    Target statistics are fitted on ``graphs`` (the training fold). Returns
+    ``(model, stats, history)``; the model is mutated in place. Gini
+    regularization (m > 0) requires the explainable variant.
 
     Raises TrainingDivergence, carrying the history so far, when a non-finite
     loss appears.
@@ -256,10 +255,7 @@ def train(
     packed = PackedDataset(graphs)
     names = model.config.targets
     y, mask = target_matrix(graphs, names)
-    if stats is None:
-        stats, z = standardize_targets(y, mask, names)
-    else:
-        z = np.where(mask > 0, stats.transform(y), 0.0)
+    stats, z = standardize_targets(y, mask, names)
     params = model.parameters()
     opt = AdamState(params)
     history = History(target_names=list(names))

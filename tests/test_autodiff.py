@@ -227,24 +227,6 @@ def test_non_grad_nodes_keep_no_parents_with_the_tape_on():
     assert not out.requires_grad and out._parents == () and out._backward is None
 
 
-def test_neighbor_sum_blocks_equal_one_shot_sum():
-    # a path over more than two blocks of rows: row i lists i - 1, i, i + 1 (padded at
-    # the ends), and some rows hold only negative zeros
-    n = 2 * ad.BLOCK + 37
-    rows = np.arange(n)[:, None] + np.array([-1, 0, 1])
-    table = np.where((rows >= 0) & (rows < n), rows, n)
-    rng = np.random.default_rng(4)
-    x = rng.normal(size=(n, 5))
-    x[rng.random(x.shape) < 0.3] = -0.0
-    x[ad.BLOCK - 3:ad.BLOCK + 3] = -0.0
-    g = x[::-1].copy()
-    out = ad.neighbor_sum(ad.parameter(x), table)
-    assert np.array_equal(out.value.view(np.int64),
-                          ad._gather(x, table).sum(axis=1).view(np.int64))
-    (grad,) = out._backward(g)
-    assert np.array_equal(grad.view(np.int64), ad._gather(g, table).sum(axis=1).view(np.int64))
-
-
 def test_ndim_limit():
     with pytest.raises(ad.ShapeError):
         ad.Node(np.zeros((2, 2, 2)))

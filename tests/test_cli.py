@@ -80,6 +80,21 @@ def test_train_unfeaturizable_molecule_exits_1(workspace, capsys):
     assert not (tmp / "run" / "checkpoint.json").exists()
 
 
+def test_train_nan_target_exits_1(workspace, capsys):
+    tmp, config_path, config = workspace
+    lines = Path(config["dataset"]).read_text().splitlines()
+    rec = json.loads(lines[2])
+    rec["targets"]["size"] = float("nan")  # json.dumps writes the NaN token
+    lines[2] = json.dumps(rec)
+    Path(config["dataset"]).write_text("\n".join(lines) + "\n")
+    assert main(["train", "--config", str(config_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "line 3" in captured.err and "'size'" in captured.err and "finite" in captured.err
+    assert not (tmp / "run" / "checkpoint.json").exists()
+
+
 def test_missing_dataset_exits_1(workspace, capsys):
     tmp, config_path, config = workspace
     config["dataset"] = str(tmp / "nope.jsonl")
@@ -237,6 +252,22 @@ def test_explain_unknown_id(workspace, capsys):
     code = main(["explain", "--checkpoint", str(ckpt), "--dataset", str(tmp / "toy.jsonl"),
                  "--target", "size", "--ids", "ghost"])
     assert code == 1
+
+
+def test_explain_repeated_id_exits_1(workspace, capsys):
+    ckpt, tmp = trained_checkpoint(workspace)
+    graphs = load_dataset(tmp / "toy.jsonl")[:3]
+    graphs[2].id = graphs[0].id
+    dataset = tmp / "repeated.jsonl"
+    write_dataset(dataset, graphs)
+    capsys.readouterr()
+    code = main(["explain", "--checkpoint", str(ckpt), "--dataset", str(dataset),
+                 "--target", "size", "--out", str(tmp / "expl")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and graphs[0].id in captured.err
+    assert not (tmp / "expl").exists()
 
 
 def test_explain_rejects_reference_checkpoint(workspace, capsys):

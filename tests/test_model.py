@@ -336,7 +336,8 @@ def test_reference_variant_forward_runs():
     assert model.predict(graphs).shape == (6, 1)
 
 
-def test_predict_memory_linear_in_atoms():
+@pytest.mark.parametrize("method", ["predict", "forward_batch"])  # sliced / one pass over all
+def test_predict_memory_linear_in_atoms(method):
     # peak traced allocation per atom stays flat as the batch doubles; a dense
     # atoms x atoms layout grows it in proportion to the batch
     model = init_model(ModelConfig(targets=["size"], conv_hidden=64, num_conv_layers=3, seed=0))
@@ -346,7 +347,7 @@ def test_predict_memory_linear_in_atoms():
         atoms = sum(g.num_atoms for g in graphs)
         tracemalloc.start()
         try:
-            model.predict(graphs)
+            getattr(model, method)(graphs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -399,8 +400,8 @@ def test_slice_bounds(n, size, bounds):
 
 
 def test_predict_peak_below_eight_rows_per_atom():
-    # eval records no tape and neighbour sums gather in row blocks, so a pass
-    # holds a few (atoms, H) arrays at a time; a taped pass peaked near 17 rows
+    # eval records no tape and runs one slice at a time, so a pass holds a few
+    # (atoms, H) arrays of one slice at a time; a taped pass peaked near 17 rows
     h = 64
     model = init_model(ModelConfig(targets=["size"], conv_hidden=h, num_conv_layers=3, seed=0))
     graphs = generate_graphs(ToySpec(num_molecules=500, seed=8))

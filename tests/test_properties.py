@@ -2,7 +2,8 @@
 
 A SMILES string, a JSONL dataset document and a checkpoint document each
 either load or raise the documented error (MoleculeError, CheckpointError);
-no other exception escapes, and a checkpoint that loads has target names and
+no other exception escapes, a dataset that loads has finite target and Fukui
+values, and a checkpoint that loads has target names and
 batch-norm settings a fresh model could have. The training part of a run
 config either builds a TrainConfig with finite, in-range fields, which then
 trains or diverges, or raises ValueError. Examples are derandomized and
@@ -108,12 +109,18 @@ LINE = st.one_of(RECORD.map(json.dumps), RECORD.map(json.dumps), ANY_JSON.map(js
 @given(st.lists(LINE, max_size=4).map("\n".join))
 @example('{"id": "m", "atoms": [{"element": "C"}], "bonds": null}')
 @example('{"id": "m", "atoms": [{"element": "C"}], "targets": {"y": 1%s}}' % ("0" * 400))
+@example('{"id": "m", "atoms": [{"element": "C"}], "targets": {"y": NaN}}')
+@example('{"id": "m", "atoms": [{"element": "C"}], "targets": {"y": 1e400}}')
+@example('{"id": "m", "atoms": [{"element": "C"}], "fukui": [[0.5, Infinity]]}')
 def test_dataset_parses_or_raises_molecule_error(text):
     try:
         graphs = load_graphs(text)
     except MoleculeError:
         return
     assert all(g.num_atoms >= 1 for g in graphs)
+    for g in graphs:
+        assert all(math.isfinite(v) for v in g.targets.values())
+        assert all(math.isfinite(v) for pair in g.fukui or () for v in pair)
 
 
 # ----------------------------------------------------- checkpoint documents
