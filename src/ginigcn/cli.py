@@ -49,10 +49,6 @@ EXIT_RUNTIME = 2
 FORMAT_VERSION = 1
 
 
-class UsageError(ValueError):
-    """Configuration or input validation problem (exit code 1)."""
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad flags; the contract reserves 2 for runtime
     # failures, so route usage problems to exit code 1.
@@ -91,16 +87,16 @@ def _run_config(path: Path, seed_override, out_override):
         model_cfg = ModelConfig(**model_doc)
         train_cfg = TrainConfig(gini=GiniConfig(**gini_doc), **train_doc)
     except KeyError as e:
-        raise UsageError(f"invalid config: missing field {e.args[0]!r}") from None
+        raise ValueError(f"invalid config: missing field {e.args[0]!r}") from None
     except (TypeError, ValueError) as e:
-        raise UsageError(f"invalid config: {e}") from None
+        raise ValueError(f"invalid config: {e}") from None
     graphs = load_dataset(dataset_path)
     dataset_targets = set()
     for g in graphs:
         dataset_targets.update(g.targets)
     missing = [t for t in model_cfg.targets if t not in dataset_targets]
     if missing:
-        raise UsageError(f"config targets not present in dataset: {', '.join(missing)}")
+        raise ValueError(f"config targets not present in dataset: {', '.join(missing)}")
     out_dir.mkdir(parents=True, exist_ok=True)
     return graphs, model_cfg, train_cfg, out_dir
 
@@ -160,12 +156,12 @@ def cmd_explain(args) -> int:
     graphs = load_dataset(args.dataset)
     repeated = [i for i, count in Counter(g.id for g in graphs).items() if count > 1]
     if repeated:  # documents and --out file names are keyed by id
-        raise UsageError(f"{args.dataset}: repeated molecule id(s): {', '.join(repeated)}")
+        raise ValueError(f"{args.dataset}: repeated molecule id(s): {', '.join(repeated)}")
     by_id = {g.id: g for g in graphs}
     ids = [s for s in args.ids.split(",") if s] if args.ids else list(by_id)
     unknown = [i for i in ids if i not in by_id]
     if unknown:
-        raise UsageError(f"unknown molecule id(s): {', '.join(unknown)}")
+        raise ValueError(f"unknown molecule id(s): {', '.join(unknown)}")
     if not ids:
         return EXIT_OK
     graphs = [by_id[mol_id] for mol_id in ids]

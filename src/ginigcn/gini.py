@@ -16,12 +16,12 @@ backward reads the same sorted form as the coefficient and its gradient.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
+from .molecules import finite_number
 
 __all__ = [
     "GiniConfig",
@@ -45,19 +45,6 @@ class GiniConfig:
             raise ValueError("m must be nonnegative")
         if not 0.0 < finite_number("g_floor", self.g_floor) < 1.0:
             raise ValueError("g_floor must lie in (0, 1)")
-
-
-def finite_number(name: str, value) -> float:
-    """``value`` as a float; ValueError unless it is a finite real number, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an int beyond float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return number
 
 
 @dataclass

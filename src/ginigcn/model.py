@@ -16,7 +16,6 @@ fingerprint and the output layer.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -24,7 +23,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import autodiff as ad
-from .molecules import FEATURE_DIM, MolecularGraph, featurize
+from .molecules import FEATURE_DIM, MolecularGraph, check_integer, featurize, finite_number
 
 __all__ = [
     "ModelConfig",
@@ -57,12 +56,6 @@ SLICE = 128
 
 class CheckpointError(ValueError):
     """Unreadable or structurally invalid checkpoint document."""
-
-
-def check_integer(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is an integer, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -361,25 +354,30 @@ def checkpoint_document(model: Model) -> dict:
     }
 
 
-def _finite_array(entry, key: str, what: str, shape: tuple) -> np.ndarray:
-    # entry[key] as a float64 array of the given shape with every value finite.
+def _numbers(entry, key: str, what: str, size: int) -> np.ndarray:
+    # entry[key] as float64: a list of `size` finite JSON numbers. The kinds are
+    # those of finite_number (no bools, no strings), checked once per list.
+    values = entry.get(key) if isinstance(entry, dict) else None
+    if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+        raise CheckpointError(f"{what} needs a {key!r} array of numbers")
+    if len(values) != size:
+        raise CheckpointError(f"{what} has {len(values)} {key!r} values, expected {size}")
     try:
-        arr = np.asarray(entry[key], dtype=np.float64)
-    except (KeyError, TypeError, ValueError, OverflowError):
-        raise CheckpointError(f"{what} needs a numeric {key!r} field") from None
-    if not np.isfinite(arr).all():
+        arr = np.asarray(values, dtype=np.float64)
+        finite = np.isfinite(arr).all()
+    except OverflowError:  # an int beyond float range
+        finite = False
+    if not finite:
         raise CheckpointError(f"{what} has non-finite {key!r} values")
-    if arr.shape != shape:
-        raise CheckpointError(f"{what} has {key!r} of shape {arr.shape}, expected {shape}")
     return arr
 
 
 def model_from_document(doc: dict) -> Model:
-    """Rebuild a model from a checkpoint document."""
+    """Rebuild a model from a checkpoint document whose numbers follow the run configs' rule."""
     if not isinstance(doc, dict):
         raise CheckpointError("checkpoint must be a JSON object")
     version = doc.get("format_version")
-    if version != CHECKPOINT_FORMAT_VERSION:
+    if type(version) is not int or version != CHECKPOINT_FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint format_version {version!r}")
     try:
         model = init_model(ModelConfig(**doc["config"]))
@@ -392,19 +390,20 @@ def model_from_document(doc: dict) -> Model:
         if name not in params:
             raise CheckpointError(f"checkpoint missing parameter {name!r}")
         entry, what, shape = params[name], f"parameter {name!r}", node.value.shape
-        if tuple(_finite_array(entry, "shape", what, (len(shape),))) != shape:
-            raise CheckpointError(f"{what} has shape {entry['shape']}, expected {shape}")
-        node.value = _finite_array(entry, "data", what, (node.value.size,)).reshape(shape)
+        node.value = _numbers(entry, "data", what, node.value.size).reshape(shape)
+        dims = entry.get("shape")
+        if dims != list(shape) or set(map(type, dims)) != {int}:  # [1.0] == [True] == [1]
+            raise CheckpointError(f"{what} has shape {dims!r}, expected {shape}")
         node.zero_grad()
     for name, state in model.batch_norm_states():
         if name not in bn:
             raise CheckpointError(f"checkpoint missing batch_norm state {name!r}")
         entry, what = bn[name], f"batch_norm state {name!r}"
-        state.running_mean = _finite_array(entry, "running_mean", what, (state.dim,))
-        state.running_var = _finite_array(entry, "running_var", what, (state.dim,))
-        state.momentum = float(_finite_array(entry, "momentum", what, ()))
-        state.epsilon = float(_finite_array(entry, "epsilon", what, ()))
+        state.running_mean = _numbers(entry, "running_mean", what, state.dim)
+        state.running_var = _numbers(entry, "running_var", what, state.dim)
         try:
+            state.momentum = finite_number("momentum", entry.get("momentum"))
+            state.epsilon = finite_number("epsilon", entry.get("epsilon"))
             ad.BatchNormState.check_settings(state.momentum, state.epsilon)
         except ValueError as e:
             raise CheckpointError(f"{what}: {e}") from None

@@ -4,7 +4,8 @@ The dataset format is one JSON object per line (UTF-8, ``#`` comment lines
 ignored) with fields ``id``, ``atoms`` (array of ``{element, aromatic?,
 implicit_h?}``), ``bonds`` (array of ``[i, j, order]`` with order 1, 2, 3 or
 ``"aromatic"``), ``targets`` (name -> number) and an optional ``fukui``
-array of per-atom ``[f_minus, f_plus]`` pairs.
+array of per-atom ``[f_minus, f_plus]`` pairs. Numbers follow the run configs'
+rule (``finite_number``, ``check_integer``): never booleans or strings.
 
 Hydrogens are implicit throughout: they appear as an atom feature, never as
 graph nodes. Bond order is parsed and stored but the convolution aggregates
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,7 +85,7 @@ class MolecularGraph:
                 raise MoleculeError(f"molecule {self.id!r}: bond index out of range ({i}, {j})")
             if i == j:
                 raise MoleculeError(f"molecule {self.id!r}: bond endpoints must be distinct")
-            if order not in VALID_ORDERS:
+            if order not in VALID_ORDERS or isinstance(order, (bool, float)):  # true == 1.0 == 1
                 raise MoleculeError(f"molecule {self.id!r}: invalid bond order {order!r}")
             key = (min(i, j), max(i, j))
             if key in seen:
@@ -112,57 +114,65 @@ class MolecularGraph:
         return [len(nbrs) for nbrs in self.neighbors()]
 
 
-def _atom_from_record(rec, where: str) -> Atom:
-    if not isinstance(rec, dict) or "element" not in rec:
-        raise MoleculeError(f"{where}: atom record must be an object with an 'element' field")
-    h = rec.get("implicit_h", 0)
-    if not isinstance(h, int) or isinstance(h, bool) or h < 0:
-        raise MoleculeError(f"{where}: implicit_h must be a nonnegative integer")
-    return Atom(element=rec["element"], implicit_hydrogens=h, aromatic=bool(rec.get("aromatic", False)))
-
-
-def _number(v, where: str, what: str) -> float:
+def finite_number(name: str, value) -> float:
+    """``value`` as a float; ValueError unless it is a finite real number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     try:
-        x = float(v)
-    except (TypeError, ValueError, OverflowError):
-        raise MoleculeError(f"{where}: {what} must be a number, got {v!r}") from None
-    if not math.isfinite(x):
-        raise MoleculeError(f"{where}: {what} must be finite, got {v!r}")
-    return x
+        number = float(value)
+    except OverflowError:  # an int beyond float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return number
 
 
-def _graph_from_record(rec: dict, where: str) -> MolecularGraph:
+def check_integer(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _atom_from_record(rec) -> Atom:
+    if not isinstance(rec, dict) or "element" not in rec:
+        raise ValueError("atom record must be an object with an 'element' field")
+    h = rec.get("implicit_h", 0)
+    check_integer("implicit_h", h)
+    if h < 0:
+        raise ValueError(f"implicit_h must be nonnegative, got {h}")
+    aromatic = rec.get("aromatic", False)
+    if not isinstance(aromatic, bool):
+        raise ValueError(f"aromatic must be true or false, got {aromatic!r}")
+    return Atom(element=rec["element"], implicit_hydrogens=h, aromatic=aromatic)
+
+
+def _graph_from_record(rec) -> MolecularGraph:
     if not isinstance(rec, dict):
-        raise MoleculeError(f"{where}: record must be an object")
+        raise ValueError("record must be an object")
     if "id" not in rec or not isinstance(rec["id"], str):
-        raise MoleculeError(f"{where}: missing string 'id' field")
+        raise ValueError("missing string 'id' field")
     if "atoms" not in rec or not isinstance(rec["atoms"], list):
-        raise MoleculeError(f"{where}: missing 'atoms' array")
-    atoms = [_atom_from_record(a, where) for a in rec["atoms"]]
-    if not isinstance(rec.get("bonds", []), list):
-        raise MoleculeError(f"{where}: 'bonds' must be an array")
-    bonds = []
-    for b in rec.get("bonds", []):
+        raise ValueError("missing 'atoms' array")
+    atoms = [_atom_from_record(a) for a in rec["atoms"]]
+    bonds = rec.get("bonds", [])
+    if not isinstance(bonds, list):
+        raise ValueError("'bonds' must be an array")
+    for b in bonds:
         if not isinstance(b, list) or len(b) != 3:
-            raise MoleculeError(f"{where}: bond must be a [i, j, order] triple")
-        i, j, order = b
-        if not isinstance(i, int) or not isinstance(j, int):
-            raise MoleculeError(f"{where}: bond endpoints must be integers")
-        bonds.append((i, j, order))
+            raise ValueError("bond must be a [i, j, order] triple")
+        check_integer("bond endpoint", b[0])
+        check_integer("bond endpoint", b[1])
     targets = rec.get("targets", {})
     if not isinstance(targets, dict):
-        raise MoleculeError(f"{where}: targets must be an object")
-    targets = {str(k): _number(v, where, f"target {k!r}") for k, v in targets.items()}
+        raise ValueError("targets must be an object")
+    targets = {k: finite_number(f"target {k!r}", v) for k, v in targets.items()}
     fukui = rec.get("fukui")
     if fukui is not None:
         if not isinstance(fukui, list) or any(not isinstance(p, list) or len(p) != 2 for p in fukui):
-            raise MoleculeError(f"{where}: fukui must be an array of [f_minus, f_plus] pairs")
-        fukui = [(_number(p[0], where, "fukui value"), _number(p[1], where, "fukui value"))
-                 for p in fukui]
-    try:
-        return MolecularGraph(id=rec["id"], atoms=atoms, bonds=bonds, targets=targets, fukui=fukui)
-    except MoleculeError as e:
-        raise MoleculeError(f"{where}: {e}") from None
+            raise ValueError("fukui must be an array of [f_minus, f_plus] pairs")
+        fukui = [(finite_number("fukui value", fm), finite_number("fukui value", fp))
+                 for fm, fp in fukui]
+    return MolecularGraph(id=rec["id"], atoms=atoms, bonds=bonds, targets=targets, fukui=fukui)
 
 
 def parse_graph_file(text: str) -> list[MolecularGraph]:
@@ -176,12 +186,12 @@ def parse_graph_file(text: str) -> list[MolecularGraph]:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        where = f"line {lineno}"
         try:
-            rec = json.loads(stripped)
+            graphs.append(_graph_from_record(json.loads(stripped)))
         except json.JSONDecodeError as e:
-            raise MoleculeError(f"{where}: malformed record: {e}") from None
-        graphs.append(_graph_from_record(rec, where))
+            raise MoleculeError(f"line {lineno}: malformed record: {e}") from None
+        except ValueError as e:
+            raise MoleculeError(f"line {lineno}: {e}") from None
     return graphs
 
 

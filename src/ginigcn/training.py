@@ -16,9 +16,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .gini import GiniConfig, RegularizerReport, finite_number, regularized_loss
-from .model import Model, ModelConfig, PackedDataset, check_integer, init_model, slice_bounds
-from .molecules import MolecularGraph, kfold_split
+from .gini import GiniConfig, RegularizerReport, regularized_loss
+from .model import Model, ModelConfig, PackedDataset, init_model, slice_bounds
+from .molecules import MolecularGraph, check_integer, finite_number, kfold_split
 
 __all__ = [
     "TrainConfig",

@@ -95,6 +95,22 @@ def test_train_nan_target_exits_1(workspace, capsys):
     assert not (tmp / "run" / "checkpoint.json").exists()
 
 
+def test_train_boolean_target_exits_1(workspace, capsys):
+    tmp, config_path, config = workspace
+    lines = Path(config["dataset"]).read_text().splitlines()
+    rec = json.loads(lines[2])
+    rec["targets"]["size"] = True  # once loaded as the target 1.0
+    lines[2] = json.dumps(rec)
+    Path(config["dataset"]).write_text("\n".join(lines) + "\n")
+    assert main(["train", "--config", str(config_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "line 3" in captured.err and "'size'" in captured.err
+    assert "must be a number" in captured.err
+    assert not (tmp / "run" / "checkpoint.json").exists()
+
+
 def test_missing_dataset_exits_1(workspace, capsys):
     tmp, config_path, config = workspace
     config["dataset"] = str(tmp / "nope.jsonl")

@@ -544,6 +544,27 @@ def test_checkpoint_rejects_non_finite_values(section, name, key, bad):
         model_from_document(json.loads(json.dumps(doc)))
 
 
+@pytest.mark.parametrize("path, bad", [
+    (("parameters", "output.bias", "data"), ["0.5"]),
+    (("parameters", "output.bias", "data"), [True]),
+    (("parameters", "output.bias", "shape"), [1.0]),
+    (("parameters", "output.bias", "shape"), [True]),
+    (("batch_norm", "conv0", "momentum"), "0.1"),
+    (("format_version",), True),
+], ids=["data_string", "data_true", "shape_float", "shape_true", "momentum_string",
+        "version_true"])
+def test_checkpoint_rejects_values_that_are_not_json_numbers(path, bad):
+    # each of these once loaded: "0.5" and true as numbers, 1.0 and true as 1
+    model = init_model(ModelConfig(targets=["a"], conv_hidden=2, num_conv_layers=1))
+    doc = checkpoint_document(model)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = bad
+    with pytest.raises(CheckpointError, match=".*".join(path[1:] or path)):
+        model_from_document(doc)
+
+
 @pytest.mark.parametrize("key, bad", [("epsilon", -2.0), ("epsilon", 0.0),
                                       ("momentum", 7.0), ("momentum", 0.0)])
 def test_checkpoint_rejects_batch_norm_settings_out_of_range(key, bad):

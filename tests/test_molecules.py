@@ -1,5 +1,7 @@
 """Parsing, featurization, and fold-splitting tests."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -65,12 +67,30 @@ def test_malformed_record_reports_line():
     '"targets": {"size": "big"}',
     '"fukui": [[0.1, null]]',
     '"fukui": [["x", 0.2]]',
+    '"targets": {"size": true}',
+    '"targets": {"size": "0.5"}',
+    '"fukui": [[false, 0.2]]',
 ])
 def test_non_numeric_value_reports_line(field):
     good = '{"id": "a", "atoms": [{"element": "C"}]}'
     bad = '{"id": "b", "atoms": [{"element": "C"}], ' + field + '}'
     with pytest.raises(MoleculeError, match="line 3: .* must be a number"):
         parse_graph_file(good + "\n\n" + bad + "\n")
+
+
+@pytest.mark.parametrize("atom, bond, message", [
+    ('"aromatic": "no"', [0, 1, 1], "aromatic must be true or false"),
+    ('"aromatic": 1', [0, 1, 1], "aromatic must be true or false"),
+    ('"aromatic": false', [True, 1, 1], "bond endpoint must be an integer"),
+    ('"aromatic": false', [0, 1, True], "invalid bond order True"),
+    ('"aromatic": false', [0, 1, 1.0], "invalid bond order 1.0"),
+], ids=["aromatic_string", "aromatic_number", "endpoint_true", "order_true", "order_float"])
+def test_field_of_the_wrong_kind_reports_line(atom, bond, message):
+    # each of these once loaded: "no" as aromatic, true as atom 1, true and 1.0 as order 1
+    record = ('{"id": "m", "atoms": [{"element": "C", ' + atom + '}, {"element": "C"}], '
+              '"bonds": [' + json.dumps(bond) + ']}')
+    with pytest.raises(MoleculeError, match=f"line 2: .*{message}"):
+        parse_graph_file("# header\n" + record + "\n")
 
 
 def test_unsupported_element():

@@ -112,6 +112,8 @@ LINE = st.one_of(RECORD.map(json.dumps), RECORD.map(json.dumps), ANY_JSON.map(js
 @example('{"id": "m", "atoms": [{"element": "C"}], "targets": {"y": NaN}}')
 @example('{"id": "m", "atoms": [{"element": "C"}], "targets": {"y": 1e400}}')
 @example('{"id": "m", "atoms": [{"element": "C"}], "fukui": [[0.5, Infinity]]}')
+@example('{"id": "m", "atoms": [{"element": "C"}], "targets": {"y": true}}')
+@example('{"id": "m", "atoms": [{"element": "C"}], "fukui": [[false, "0.5"]]}')
 def test_dataset_parses_or_raises_molecule_error(text):
     try:
         graphs = load_graphs(text)
@@ -121,6 +123,12 @@ def test_dataset_parses_or_raises_molecule_error(text):
     for g in graphs:
         assert all(math.isfinite(v) for v in g.targets.values())
         assert all(math.isfinite(v) for pair in g.fukui or () for v in pair)
+    # every value loaded as a number was a JSON number in its line, not a bool or a string
+    lines = [s for s in map(str.strip, text.splitlines()) if s and not s.startswith("#")]
+    for rec in map(json.loads, lines):
+        pairs = rec.get("fukui") or ()
+        values = [*rec.get("targets", {}).values(), *(v for pair in pairs for v in pair)]
+        assert all(type(v) in (int, float) for v in values)
 
 
 # ----------------------------------------------------- checkpoint documents
