@@ -198,17 +198,9 @@ def condensed_fukui(rho_n, rho_n_minus, rho_n_plus) -> FukuiRecord:
 
 
 def _average_ranks(v: np.ndarray) -> np.ndarray:
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(v.size)
-    sv = v[order]
-    i = 0
-    while i < v.size:
-        j = i
-        while j + 1 < v.size and sv[j + 1] == sv[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    # A tie group's ranks run from its last rank minus (count - 1) to its last rank.
+    _, inverse, counts = np.unique(v, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def rank_correlation(a, b) -> float:

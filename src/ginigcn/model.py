@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from functools import cached_property
-from itertools import accumulate
 
 import numpy as np
 
@@ -139,10 +137,11 @@ def _padded(rows, fill: int) -> np.ndarray:
     return np.array(flat, dtype=np.intp).reshape(len(rows), width)
 
 
-def _atom_table(begins: np.ndarray, sizes: np.ndarray, fill: int) -> np.ndarray:
-    # Row k lists rows begins[k] .. begins[k] + sizes[k] - 1, then fill.
+def _atom_table(offsets: np.ndarray) -> np.ndarray:
+    # Row k lists rows offsets[k] .. offsets[k + 1] - 1, then the atom count offsets[-1].
+    begins, sizes = offsets[:-1], offsets[1:] - offsets[:-1]
     cols = np.arange(sizes.max())
-    return np.where(cols < sizes[:, None], begins[:, None] + cols, fill)
+    return np.where(cols < sizes[:, None], begins[:, None] + cols, offsets[-1])
 
 
 def slice_bounds(n: int, size: int) -> list[tuple[int, int]]:
@@ -177,19 +176,13 @@ class PackedDataset:
             raise ValueError("empty batch")
         self.x = np.concatenate([featurize(g) for g in graphs])
         n = self.x.shape[0]
-        starts = list(accumulate((g.num_atoms for g in graphs[:-1]), initial=0))
-        self.offsets = np.array(starts + [n])
+        self.offsets = np.array([0, *(g.num_atoms for g in graphs)]).cumsum()
         rows = [[v] for v in range(n)]
-        for g, offset in zip(graphs, starts):
+        for g, offset in zip(graphs, self.offsets.tolist()):
             for i, j, _ in g.bonds:
                 rows[offset + i].append(offset + j)
                 rows[offset + j].append(offset + i)
         self.neighbors = _padded(rows, n)
-
-    @cached_property
-    def widths(self) -> np.ndarray:
-        """The widest neighbor row of each molecule, padding excluded."""
-        return np.maximum.reduceat((self.neighbors < len(self.x)).sum(axis=1), self.offsets[:-1])
 
     def take(self, indices):
         """Node features and the index tables ``neighbors`` and ``atoms`` of a batch.
@@ -202,18 +195,19 @@ class PackedDataset:
         idx = np.asarray(indices, dtype=np.intp)
         if idx.size == 0:
             raise ValueError("empty batch")
+        n = len(self.x)
         starts = self.offsets[idx]
         sizes = self.offsets[idx + 1] - starts
-        ends = np.cumsum(sizes)
-        m = int(ends[-1])
-        begins = ends - sizes
-        shift = np.repeat(begins - starts, sizes)
+        offsets = np.concatenate(([0], sizes)).cumsum()
+        m = int(offsets[-1])
+        shift = np.repeat(offsets[:-1] - starts, sizes)
         rows = np.arange(m) - shift
-        table = self.neighbors[rows, :self.widths[idx].max()]
+        table = self.neighbors[rows]
+        table = table[:, :(table < n).sum(axis=1).max()]
         # Bonds stay within a molecule, and a molecule's rows all move by one
         # shift, so each neighbor row stays ascending.
-        neighbors = np.where(table < self.x.shape[0], table + shift[:, None], m)
-        return self.x[rows], neighbors, _atom_table(begins, sizes, m)
+        neighbors = np.where(table < n, table + shift[:, None], m)
+        return self.x[rows], neighbors, _atom_table(offsets)
 
 
 class Model:
@@ -270,9 +264,7 @@ class Model:
     def forward_batch(self, graphs: list[MolecularGraph], mode: str = "eval") -> BatchForward:
         """Run the full network over a batch of molecules, packed in input order."""
         packed = PackedDataset(graphs)
-        starts, ends = packed.offsets[:-1], packed.offsets[1:]
-        atoms = _atom_table(starts, ends - starts, ends[-1])
-        return self.forward(packed.x, packed.neighbors, atoms, mode)
+        return self.forward(packed.x, packed.neighbors, _atom_table(packed.offsets), mode)
 
     def forward(self, x: np.ndarray, neighbors: np.ndarray, atoms: np.ndarray,
                 mode: str = "eval") -> BatchForward:

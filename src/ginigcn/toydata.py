@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .molecules import Atom, MolecularGraph, STANDARD_VALENCE, format_graph_file
+from .molecules import Atom, MolecularGraph, STANDARD_VALENCE, check_integer, format_graph_file
 
 __all__ = ["ToySpec", "PLANTED_TARGETS", "generate", "generate_graphs", "planted_value"]
 
@@ -39,6 +39,10 @@ class ToySpec:
     planted: tuple[str, ...] = PLANTED_TARGETS
 
     def __post_init__(self):
+        for name in ("num_molecules", "max_heavy_atoms", "seed"):
+            check_integer(name, getattr(self, name))
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.num_molecules < 1:
             raise ValueError("num_molecules must be at least 1")
         if self.max_heavy_atoms < 1:

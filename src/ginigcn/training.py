@@ -105,10 +105,19 @@ class TargetStats:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TargetStats":
-        names = list(doc["order"])
-        mean = np.array([doc["targets"][n]["mean"] for n in names])
-        std = np.array([doc["targets"][n]["std"] for n in names])
-        return cls(names=names, mean=mean, std=std)
+        """Read :meth:`to_dict`'s document; its numbers follow the run configs' rule."""
+        names, targets = doc.get("order"), doc.get("targets")
+        if not isinstance(names, list) or not isinstance(targets, dict) \
+                or sorted(names, key=str) != sorted(targets):
+            raise ValueError(f"target stats 'order' {names!r} must name each key of 'targets' once")
+        mean, std = [], []
+        for name in names:
+            entry = targets[name] if isinstance(targets[name], dict) else {}
+            mean.append(finite_number(f"target {name!r} mean", entry.get("mean")))
+            std.append(finite_number(f"target {name!r} std", entry.get("std")))
+            if std[-1] <= 0:
+                raise ValueError(f"target {name!r} std must be positive, got {std[-1]!r}")
+        return cls(names=names, mean=np.array(mean), std=np.array(std))
 
 
 @dataclass

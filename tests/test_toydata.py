@@ -67,3 +67,8 @@ def test_spec_validation():
         ToySpec(num_molecules=5, planted=("size", "mystery"))
     with pytest.raises(ValueError):
         ToySpec(num_molecules=5, element_weights={"Xe": 1.0})
+    # The integer rule of run configs: no floats, no booleans, no negative seed.
+    for bad in ({"max_heavy_atoms": 2.5}, {"num_molecules": True}, {"num_molecules": 2.5},
+                {"seed": -1}):
+        with pytest.raises(ValueError):
+            ToySpec(**{"num_molecules": 5, **bad})

@@ -76,6 +76,21 @@ def test_target_stats_document_round_trip():
     assert np.array_equal(clone.std, stats.std)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["targets"]["a"].update(std=0), "target 'a' std must be positive"),
+    (lambda d: d["targets"]["a"].update(std=-0.5), "target 'a' std must be positive"),
+    (lambda d: d["targets"]["b"].update(mean=True), "target 'b' mean must be a number"),
+    (lambda d: d["targets"]["b"].update(mean="1"), "target 'b' mean must be a number"),
+    (lambda d: d.update(order=["a", "a"]), r"'order' \['a', 'a'\] must name each key"),
+], ids=["zero-std", "negative-std", "boolean-mean", "string-mean", "repeated-order"])
+def test_target_stats_document_rejects_bad_values(edit, message):
+    doc = TargetStats(names=["a", "b"], mean=np.array([1.5, -2.0]),
+                      std=np.array([0.5, 3.0])).to_dict()
+    edit(doc)
+    with pytest.raises(ValueError, match=message):
+        TargetStats.from_dict(doc)
+
+
 # -------------------------------------------------------------------- loss
 
 
