@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .molecules import FEATURE_DIM, MolecularGraph, check_integer, featurize, finite_number
+from .molecules import FEATURE_DIM, MolecularGraph, check_integer, finite_number, pack_graphs
 
 __all__ = [
     "ModelConfig",
@@ -130,13 +130,6 @@ def fingerprint(node_reps: ad.Node, atoms: np.ndarray) -> ad.Node:
     return ad.concat_cols(mean_part, max_part)
 
 
-def _padded(rows, fill: int) -> np.ndarray:
-    # One table row per list: its entries ascending, then fill up to the widest.
-    width = max(map(len, rows))
-    flat = [v for r in rows for v in sorted(r) + [fill] * (width - len(r))]
-    return np.array(flat, dtype=np.intp).reshape(len(rows), width)
-
-
 def _atom_table(offsets: np.ndarray) -> np.ndarray:
     # Row k lists rows offsets[k] .. offsets[k + 1] - 1, then the atom count offsets[-1].
     begins, sizes = offsets[:-1], offsets[1:] - offsets[:-1]
@@ -163,26 +156,20 @@ def eval_slices(graphs: list[MolecularGraph]) -> list[list[MolecularGraph]]:
 
 
 class PackedDataset:
-    """A list of molecules featurized once into contiguous arrays.
+    """A list of molecules packed once into contiguous arrays by :func:`pack_graphs`.
 
     ``x`` stacks every molecule's node features. Row v of ``neighbors`` lists
     atom v and its bonded neighbors in dataset rows, ascending, padded with
-    the atom count. Molecule k owns rows ``offsets[k]:offsets[k + 1]``.
-    Batches are slices of the pack, taken with :meth:`take`.
+    the atom count. Molecule k owns rows ``offsets[k]:offsets[k + 1]``. The
+    arrays come from one pass over the atoms and bonds and one sort of
+    (row, neighbour) keys. Batches are slices of the pack, taken with
+    :meth:`take`.
     """
 
     def __init__(self, graphs: list[MolecularGraph]):
         if not graphs:
             raise ValueError("empty batch")
-        self.x = np.concatenate([featurize(g) for g in graphs])
-        n = self.x.shape[0]
-        self.offsets = np.array([0, *(g.num_atoms for g in graphs)]).cumsum()
-        rows = [[v] for v in range(n)]
-        for g, offset in zip(graphs, self.offsets.tolist()):
-            for i, j, _ in g.bonds:
-                rows[offset + i].append(offset + j)
-                rows[offset + j].append(offset + i)
-        self.neighbors = _padded(rows, n)
+        self.x, self.offsets, self.neighbors = pack_graphs(graphs)
 
     def take(self, indices):
         """Node features and the index tables ``neighbors`` and ``atoms`` of a batch.

@@ -18,6 +18,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -35,6 +36,7 @@ __all__ = [
     "write_dataset",
     "parse_smiles_subset",
     "featurize",
+    "pack_graphs",
     "kfold_split",
 ]
 
@@ -76,11 +78,22 @@ class MolecularGraph:
         for atom in self.atoms:
             if atom.element not in SUPPORTED_ELEMENTS:
                 raise MoleculeError(f"molecule {self.id!r}: unsupported element {atom.element!r}")
-            if atom.implicit_hydrogens < 0:
+            h = atom.implicit_hydrogens
+            if not _is_integer(h):
+                raise MoleculeError(
+                    f"molecule {self.id!r}: implicit hydrogen count must be an integer, got {h!r}")
+            if h < 0:
                 raise MoleculeError(f"molecule {self.id!r}: negative implicit hydrogen count")
+            if not isinstance(atom.aromatic, bool):
+                raise MoleculeError(
+                    f"molecule {self.id!r}: aromatic must be true or false, got {atom.aromatic!r}")
         seen = set()
         normalized = []
         for i, j, order in self.bonds:
+            for end in (i, j):
+                if not _is_integer(end):
+                    raise MoleculeError(
+                        f"molecule {self.id!r}: bond endpoint must be an integer, got {end!r}")
             if not (0 <= i < n and 0 <= j < n):
                 raise MoleculeError(f"molecule {self.id!r}: bond index out of range ({i}, {j})")
             if i == j:
@@ -127,9 +140,14 @@ def finite_number(name: str, value) -> float:
     return number
 
 
+def _is_integer(value) -> bool:
+    # The exact-int test first: the ABC check costs far more on this common case.
+    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
+
+
 def check_integer(name: str, value) -> None:
     """Raise ValueError unless ``value`` is an integer, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not _is_integer(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
@@ -341,27 +359,59 @@ _ELEMENT_INDEX = {el: k for k, el in enumerate(SUPPORTED_ELEMENTS)}
 _MAX_ONE_HOT = 4
 
 
+def pack_graphs(graphs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Node features, atom offsets and neighbour table of ``graphs``, stacked in order.
+
+    ``x`` has the :func:`featurize` layout, one row per atom; molecule k owns
+    rows ``offsets[k]:offsets[k + 1]``. Row v of ``neighbors`` lists atom v
+    and its bonded neighbours, ascending, padded with the atom count. The
+    first atom in list order whose degree or implicit hydrogen count exceeds
+    4 raises MoleculeError, its degree checked first.
+    """
+    starts = [0, *accumulate(len(g.atoms) for g in graphs)]
+    n = starts[-1]
+    # Per atom: element column, hydrogen column, aromatic flag. A hydrogen
+    # count past int64 makes this an object array, which the check below reads.
+    codes = np.array([c for g in graphs for a in g.atoms
+                      for c in (_ELEMENT_INDEX[a.element], 11 + a.implicit_hydrogens, a.aromatic)])
+    codes = codes.reshape(n, 3)
+    # Key row * n + neighbour: each atom's self key, then both directions of each bond.
+    keys = [*range(0, n * (n + 1), n + 1)]
+    keys += [k for g, base in zip(graphs, [s * (n + 1) for s in starts]) for i, j, _ in g.bonds
+             for k in (base + i * n + j, base + j * n + i)]
+    keys = np.array(keys)
+    keys.sort()
+    rows, nbrs = np.divmod(keys, n)
+    widths = np.bincount(rows)  # degree + 1
+    width = widths.max()
+    # Element columns stop at 4 and the flag at 1, so only a hydrogen column passes 15.
+    if width > _MAX_ONE_HOT + 1 or codes.max() > 11 + _MAX_ONE_HOT:
+        degrees, hydrogens = widths - 1, codes[:, 1] - 11
+        v = int(((degrees > _MAX_ONE_HOT) | (hydrogens > _MAX_ONE_HOT)).argmax())
+        m = int(np.searchsorted(starts, v, side="right")) - 1
+        where = f"molecule {graphs[m].id!r}: atom {v - starts[m]}"
+        if degrees[v] > _MAX_ONE_HOT:
+            raise MoleculeError(f"{where} degree {degrees[v]} > {_MAX_ONE_HOT}")
+        raise MoleculeError(f"{where} implicit hydrogen count {hydrogens[v]} > {_MAX_ONE_HOT}")
+    x = np.zeros((n, FEATURE_DIM))
+    x[:, 10] = codes[:, 2]
+    codes[:, 2] = widths + 4  # the degree column, 5 + degree
+    x[np.arange(n)[:, None], codes] = 1.0
+    neighbors = np.empty((n, width), dtype=np.intp)
+    neighbors.fill(n)
+    # Keys are sorted, so row r's keys run from rows.searchsorted(r), ascending.
+    neighbors[rows, np.arange(len(keys)) - rows.searchsorted(rows)] = nbrs
+    return x, np.array(starts), neighbors
+
+
 def featurize(graph: MolecularGraph) -> np.ndarray:
     """Deterministic 16-dim node features, one row per atom.
 
     Layout: element one-hot over (H, C, N, O, F), heavy-atom degree one-hot
-    0-4, aromatic flag, implicit hydrogen count one-hot 0-4.
+    0-4, aromatic flag, implicit hydrogen count one-hot 0-4. The one-molecule
+    case of :func:`pack_graphs`.
     """
-    degrees = graph.degrees()
-    x = np.zeros((graph.num_atoms, FEATURE_DIM))
-    for k, atom in enumerate(graph.atoms):
-        if degrees[k] > _MAX_ONE_HOT:
-            raise MoleculeError(f"molecule {graph.id!r}: atom {k} degree {degrees[k]} > {_MAX_ONE_HOT}")
-        if atom.implicit_hydrogens > _MAX_ONE_HOT:
-            raise MoleculeError(
-                f"molecule {graph.id!r}: atom {k} implicit hydrogen count "
-                f"{atom.implicit_hydrogens} > {_MAX_ONE_HOT}"
-            )
-        x[k, _ELEMENT_INDEX[atom.element]] = 1.0
-        x[k, 5 + degrees[k]] = 1.0
-        x[k, 10] = 1.0 if atom.aromatic else 0.0
-        x[k, 11 + atom.implicit_hydrogens] = 1.0
-    return x
+    return pack_graphs([graph])[0]
 
 
 def kfold_split(n: int, k: int, seed: int) -> list[list[int]]:

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .molecules import Atom, MolecularGraph, STANDARD_VALENCE, check_integer, format_graph_file
+from .molecules import (Atom, MolecularGraph, STANDARD_VALENCE, check_integer, finite_number,
+                        format_graph_file)
 
 __all__ = ["ToySpec", "PLANTED_TARGETS", "generate", "generate_graphs", "planted_value"]
 
@@ -47,12 +48,16 @@ class ToySpec:
             raise ValueError("num_molecules must be at least 1")
         if self.max_heavy_atoms < 1:
             raise ValueError("max_heavy_atoms must be at least 1")
-        weights = [self.element_weights.get(el, 0.0) for el in _ELEMENTS]
-        if any(w < 0 for w in weights) or sum(weights) <= 0:
-            raise ValueError("element weights must be nonnegative and not all zero")
+        if not isinstance(self.element_weights, dict):
+            raise ValueError(f"element_weights must map elements to weights, got "
+                             f"{self.element_weights!r}")
         unknown = set(self.element_weights) - set(_ELEMENTS)
         if unknown:
             raise ValueError(f"unsupported elements in weights: {sorted(unknown)}")
+        weights = [finite_number(f"element weight {el!r}", w)
+                   for el, w in self.element_weights.items()]
+        if any(w < 0 for w in weights) or sum(weights) <= 0:
+            raise ValueError("element weights must be nonnegative and not all zero")
         bad = set(self.planted) - set(PLANTED_TARGETS)
         if bad:
             raise ValueError(f"unknown planted targets: {sorted(bad)}")

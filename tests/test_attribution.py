@@ -172,18 +172,21 @@ def test_atom_maps_match_one_molecule_passes():
 def test_atom_maps_run_one_forward_pass(monkeypatch):
     model = small_model(targets=("a", "b"))
     graphs = generate_graphs(ToySpec(num_molecules=25, seed=8))
-    calls = {"forward": 0, "featurize": 0}
+    calls = {"forward": 0, "packed": []}
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def forward(*args, **kwargs):
+        calls["forward"] += 1
+        return real_forward(*args, **kwargs)
 
-    monkeypatch.setattr(Model, "forward", counted("forward", Model.forward))
-    monkeypatch.setattr(model_module, "featurize", counted("featurize", model_module.featurize))
+    def pack_graphs(packed):
+        calls["packed"].append(len(packed))
+        return real_pack(packed)
+
+    real_forward, real_pack = Model.forward, model_module.pack_graphs
+    monkeypatch.setattr(Model, "forward", forward)
+    monkeypatch.setattr(model_module, "pack_graphs", pack_graphs)
     maps = atom_maps(model, graphs, ["b", "a"])
-    assert calls == {"forward": 1, "featurize": 25}
+    assert calls == {"forward": 1, "packed": [25]}
     assert [[m.target for m in row] for row in maps] == [["b", "a"]] * 25
     assert [row[0].molecule_id for row in maps] == [g.id for g in graphs]
 

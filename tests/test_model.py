@@ -1,6 +1,7 @@
 """Model construction, forward semantics, and checkpoint round trips."""
 
 import json
+import re
 import threading
 import tracemalloc
 
@@ -21,7 +22,7 @@ from ginigcn.model import (
     slice_bounds,
 )
 from ginigcn.gini import GiniConfig
-from ginigcn.molecules import MolecularGraph, featurize, parse_smiles_subset
+from ginigcn.molecules import Atom, MolecularGraph, MoleculeError, featurize, parse_smiles_subset
 from ginigcn.toydata import ToySpec, generate_graphs
 from ginigcn.training import TrainConfig, train
 
@@ -181,9 +182,21 @@ def test_neighbor_sum_matches_dense_product(smiles):
     assert [int((row < n).sum()) for row in atoms] == [g.num_atoms for g in graphs]
 
 
+def reference_features(graph):
+    """The featurize layout written one atom at a time."""
+    degrees = graph.degrees()
+    x = np.zeros((graph.num_atoms, 16))
+    for k, atom in enumerate(graph.atoms):
+        x[k, "HCNOF".index(atom.element)] = 1.0
+        x[k, 5 + degrees[k]] = 1.0
+        x[k, 10] = 1.0 if atom.aromatic else 0.0
+        x[k, 11 + atom.implicit_hydrogens] = 1.0
+    return x
+
+
 def reference_batch(graphs):
     """The batch arrays built straight from the bonds, one molecule after another."""
-    x = np.vstack([featurize(g) for g in graphs])
+    x = np.vstack([reference_features(g) for g in graphs])
     n = x.shape[0]
     rows, members, offset = [], [], 0
     for g in graphs:
@@ -228,6 +241,51 @@ def test_take_matches_tables_built_from_the_graphs():
         want = reference_batch([graphs[i] for i in idx])
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b), idx
+
+
+def test_pack_edge_cases_match_the_reference():
+    lone = parse_smiles_subset("C")
+    unbonded = MolecularGraph(id="unbonded", atoms=[Atom("O", 2), Atom("N", 3), Atom("C", 0, True)])
+    degree_four = parse_smiles_subset("CC(C)(C)C")
+    aromatic = parse_smiles_subset("c1ccncc1")
+    for graphs in ([lone], [unbonded], [degree_four], [lone, unbonded, degree_four, aromatic],
+                   [degree_four, lone, lone, unbonded]):
+        pack = PackedDataset(graphs)
+        x, neighbors, _ = reference_batch(graphs)
+        offsets = np.cumsum([0] + [g.num_atoms for g in graphs])
+        got = (pack.x, pack.offsets, pack.neighbors)
+        for a, b in zip(got, (x, offsets, neighbors)):
+            assert a.dtype == b.dtype and np.array_equal(a, b), [g.id for g in graphs]
+    assert PackedDataset([degree_four]).neighbors.shape == (5, 5)
+
+
+@pytest.mark.parametrize("bad_atoms, message", [
+    ({2: "degree"}, "molecule 'bad': atom 2 degree 5 > 4"),
+    ({1: "hydrogens"}, "molecule 'bad': atom 1 implicit hydrogen count 5 > 4"),
+    ({2: "both"}, "molecule 'bad': atom 2 degree 5 > 4"),
+    ({0: "hydrogens", 2: "degree"}, "molecule 'bad': atom 0 implicit hydrogen count 5 > 4"),
+    ({1: "degree", 3: "hydrogens"}, "molecule 'bad': atom 1 degree 5 > 4"),
+], ids=["degree", "hydrogens", "degree_before_hydrogens", "earlier_hydrogens",
+        "earlier_degree"])
+def test_pack_names_the_first_atom_out_of_range(bad_atoms, message):
+    # Atoms 0-3 of 'bad' are a chain; a "degree" atom gets extra carbons up to
+    # five neighbours, a "hydrogens" atom five implicit hydrogens. Another bad
+    # molecule follows.
+    atoms = [Atom("C", 5 if bad_atoms.get(k) in ("hydrogens", "both") else 0) for k in range(4)]
+    bonds = [(k, k + 1, 1) for k in range(3)]
+    for k, kind in bad_atoms.items():
+        if kind in ("degree", "both"):
+            extra = 4 if k in (0, 3) else 3
+            bonds += [(k, len(atoms) + e, 1) for e in range(extra)]
+            atoms += [Atom("C")] * extra
+    bad = MolecularGraph(id="bad", atoms=atoms, bonds=bonds)
+    later = MolecularGraph(id="later", atoms=[Atom("C", 9)])
+    graphs = generate_graphs(ToySpec(num_molecules=6, seed=2))
+    graphs[3:3] = [bad, later]
+    with pytest.raises(MoleculeError, match=f"^{re.escape(message)}$"):
+        PackedDataset(graphs)
+    with pytest.raises(MoleculeError, match=f"^{re.escape(message)}$"):
+        featurize(bad)
 
 
 def test_take_rejects_empty_batch():

@@ -93,6 +93,24 @@ def test_field_of_the_wrong_kind_reports_line(atom, bond, message):
         parse_graph_file("# header\n" + record + "\n")
 
 
+@pytest.mark.parametrize("atoms, bonds, message", [
+    ([Atom("C", aromatic="no"), Atom("C")], [(0, 1, 1)], "aromatic must be true or false, got 'no'"),
+    ([Atom("C", aromatic=1), Atom("C")], [(0, 1, 1)], "aromatic must be true or false, got 1"),
+    ([Atom("C", implicit_hydrogens=True), Atom("C")], [(0, 1, 1)],
+     "implicit hydrogen count must be an integer, got True"),
+    ([Atom("C", implicit_hydrogens=1.5), Atom("C")], [(0, 1, 1)],
+     "implicit hydrogen count must be an integer, got 1.5"),
+    ([Atom("C"), Atom("C")], [(0, 1.5, 1)], "bond endpoint must be an integer, got 1.5"),
+    ([Atom("C"), Atom("C")], [(True, 0, 1)], "bond endpoint must be an integer, got True"),
+], ids=["aromatic_string", "aromatic_number", "hydrogens_true", "hydrogens_float",
+        "endpoint_float", "endpoint_true"])
+def test_graph_field_of_the_wrong_kind_rejected(atoms, bonds, message):
+    # each of these once built: "no" read as aromatic, true as one hydrogen,
+    # and 1.5 failed only when packed, with an IndexError or TypeError
+    with pytest.raises(MoleculeError, match=f"^molecule 'm': {message}$"):
+        MolecularGraph(id="m", atoms=atoms, bonds=bonds)
+
+
 def test_unsupported_element():
     text = '{"id": "m", "atoms": [{"element": "Cl"}], "bonds": [], "targets": {}}'
     with pytest.raises(MoleculeError, match="unsupported element"):

@@ -1,5 +1,7 @@
 """Synthetic dataset generator tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -72,3 +74,9 @@ def test_spec_validation():
                 {"seed": -1}):
         with pytest.raises(ValueError):
             ToySpec(**{"num_molecules": 5, **bad})
+    # Element weights follow the number rule, and each failure names the element.
+    for weights in ({"C": True}, {"C": math.nan, "O": 1.0}, {"C": math.inf}, {"C": "1"}):
+        with pytest.raises(ValueError, match="element weight 'C' must be"):
+            ToySpec(num_molecules=5, element_weights=weights)
+    with pytest.raises(ValueError, match="element_weights must map elements to weights"):
+        ToySpec(num_molecules=5, element_weights=[("C", 1.0)])

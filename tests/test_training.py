@@ -269,13 +269,13 @@ def five_bond_carbon():
 def test_train_featurizes_each_molecule_once(monkeypatch):
     graphs = generate_graphs(ToySpec(num_molecules=20, seed=3))
     calls = []
-    real = model_module.featurize
+    real = model_module.pack_graphs
 
-    def counted(graph):
-        calls.append(graph.id)
-        return real(graph)
+    def counted(packed):
+        calls.extend(g.id for g in packed)
+        return real(packed)
 
-    monkeypatch.setattr(model_module, "featurize", counted)
+    monkeypatch.setattr(model_module, "pack_graphs", counted)
     model = init_model(ModelConfig(targets=["size"], conv_hidden=4, num_conv_layers=1, seed=0))
     train(model, graphs, toy_train_config(epochs=3, batch_size=6))
     assert sorted(calls) == sorted(g.id for g in graphs)
