@@ -224,9 +224,10 @@ def rank_correlation(a, b) -> float:
 def fukui_compare(model: Model, graphs: list[MolecularGraph], target: str, polarity: str):
     """Spearman correlation of per-atom scores against a Fukui polarity.
 
-    Every graph must carry Fukui data and at least 2 atoms. Returns
-    ``(per_molecule, mean)`` where per_molecule is a list of (id,
-    coefficient) pairs in input order.
+    Every graph must carry Fukui data, at least 2 atoms and a polarity that
+    is not the same on every atom; these are checked before the forward
+    pass. Returns ``(per_molecule, mean)`` where per_molecule is a list of
+    (id, coefficient) pairs in input order.
     """
     if polarity not in POLARITIES:
         raise ValueError(f"polarity must be one of {POLARITIES}")
@@ -237,6 +238,9 @@ def fukui_compare(model: Model, graphs: list[MolecularGraph], target: str, polar
             raise ValueError(f"molecule {g.id!r} carries no fukui data")
         if g.num_atoms < 2:
             raise ValueError(f"molecule {g.id!r} has fewer than 2 atoms")
+        if len({pair[column] for pair in g.fukui}) == 1:
+            raise ValueError(f"molecule {g.id!r} has the same {polarity} on every atom; "
+                             "rank correlation is undefined")
     per_molecule = [
         (g.id, rank_correlation(amap.atom_scores, [pair[column] for pair in g.fukui]))
         for g, (amap,) in zip(graphs, _chunked_atom_maps(model, graphs, [target]))

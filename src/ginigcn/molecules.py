@@ -63,7 +63,17 @@ class Atom:
 
 @dataclass
 class MolecularGraph:
-    """Undirected heavy-atom graph with per-molecule regression targets."""
+    """Undirected heavy-atom graph with per-molecule regression targets.
+
+    The one check of molecule fields, for graphs read from files and built
+    in code alike. Each atom has a supported ``element``, a nonnegative
+    integer ``implicit_hydrogens`` and a bool ``aromatic``. ``bonds`` holds
+    ``(i, j, order)`` triples: distinct integer atom indices, each pair once,
+    and an order of exactly 1, 2, 3 or ``"aromatic"``. ``targets`` maps names
+    to finite numbers, and ``fukui`` holds one ``(f_minus, f_plus)`` pair of
+    finite numbers per atom; both are stored as floats. A failure raises
+    ``MoleculeError("molecule '<id>': ...")``.
+    """
 
     id: str
     atoms: list[Atom]
@@ -72,44 +82,55 @@ class MolecularGraph:
     fukui: list[tuple[float, float]] | None = None
 
     def __post_init__(self):
-        if not self.atoms:
-            raise MoleculeError(f"molecule {self.id!r}: at least one atom required")
-        n = len(self.atoms)
-        for atom in self.atoms:
-            if atom.element not in SUPPORTED_ELEMENTS:
-                raise MoleculeError(f"molecule {self.id!r}: unsupported element {atom.element!r}")
-            h = atom.implicit_hydrogens
-            if not _is_integer(h):
-                raise MoleculeError(
-                    f"molecule {self.id!r}: implicit hydrogen count must be an integer, got {h!r}")
-            if h < 0:
-                raise MoleculeError(f"molecule {self.id!r}: negative implicit hydrogen count")
-            if not isinstance(atom.aromatic, bool):
-                raise MoleculeError(
-                    f"molecule {self.id!r}: aromatic must be true or false, got {atom.aromatic!r}")
-        seen = set()
-        normalized = []
-        for i, j, order in self.bonds:
-            for end in (i, j):
-                if not _is_integer(end):
-                    raise MoleculeError(
-                        f"molecule {self.id!r}: bond endpoint must be an integer, got {end!r}")
-            if not (0 <= i < n and 0 <= j < n):
-                raise MoleculeError(f"molecule {self.id!r}: bond index out of range ({i}, {j})")
-            if i == j:
-                raise MoleculeError(f"molecule {self.id!r}: bond endpoints must be distinct")
-            if order not in VALID_ORDERS or isinstance(order, (bool, float)):  # true == 1.0 == 1
-                raise MoleculeError(f"molecule {self.id!r}: invalid bond order {order!r}")
-            key = (min(i, j), max(i, j))
-            if key in seen:
-                raise MoleculeError(f"molecule {self.id!r}: duplicate bond {key}")
-            seen.add(key)
-            normalized.append((key[0], key[1], order))
-        self.bonds = normalized
-        if self.fukui is not None:
-            if len(self.fukui) != n:
-                raise MoleculeError(f"molecule {self.id!r}: fukui length != atom count")
-            self.fukui = [(float(a), float(b)) for a, b in self.fukui]
+        # Each check raises a bare ValueError; the handler below names the molecule once.
+        try:
+            if not self.atoms:
+                raise ValueError("at least one atom required")
+            n = len(self.atoms)
+            for atom in self.atoms:
+                if atom.element not in SUPPORTED_ELEMENTS:
+                    raise ValueError(f"unsupported element {atom.element!r}")
+                check_integer("implicit hydrogen count", atom.implicit_hydrogens)
+                if atom.implicit_hydrogens < 0:
+                    raise ValueError("negative implicit hydrogen count")
+                if not isinstance(atom.aromatic, bool):
+                    raise ValueError(f"aromatic must be true or false, got {atom.aromatic!r}")
+            if not isinstance(self.bonds, (list, tuple)):
+                raise ValueError(f"bonds must be a list of triples, got {self.bonds!r}")
+            seen = set()
+            normalized = []
+            for bond in self.bonds:
+                if not isinstance(bond, (list, tuple)) or len(bond) != 3:
+                    raise ValueError(f"bond must be an (i, j, order) triple, got {bond!r}")
+                i, j, order = bond
+                check_integer("bond endpoint", i)
+                check_integer("bond endpoint", j)
+                if not (0 <= i < n and 0 <= j < n):
+                    raise ValueError(f"bond index out of range ({i}, {j})")
+                if i == j:
+                    raise ValueError("bond endpoints must be distinct")
+                # true == 1.0 == 1, so the kind is checked as well as the value
+                if order not in VALID_ORDERS or isinstance(order, (bool, float)):
+                    raise ValueError(f"invalid bond order {order!r}")
+                key = (min(i, j), max(i, j))
+                if key in seen:
+                    raise ValueError(f"duplicate bond {key}")
+                seen.add(key)
+                normalized.append((key[0], key[1], order))
+            self.bonds = normalized
+            targets = self.targets
+            if not isinstance(targets, dict) or not all(isinstance(k, str) for k in targets):
+                raise ValueError(f"targets must map names to numbers, got {targets!r}")
+            self.targets = {k: finite_number(f"target {k!r}", v) for k, v in targets.items()}
+            fukui = self.fukui
+            if fukui is not None:
+                if not isinstance(fukui, (list, tuple)) or len(fukui) != n or any(
+                        not isinstance(p, (list, tuple)) or len(p) != 2 for p in fukui):
+                    raise ValueError("fukui must hold one (f_minus, f_plus) pair per atom")
+                self.fukui = [(finite_number("fukui value", fm), finite_number("fukui value", fp))
+                              for fm, fp in fukui]
+        except ValueError as e:
+            raise MoleculeError(f"molecule {self.id!r}: {e}") from None
 
     @property
     def num_atoms(self) -> int:
@@ -140,57 +161,27 @@ def finite_number(name: str, value) -> float:
     return number
 
 
-def _is_integer(value) -> bool:
-    # The exact-int test first: the ABC check costs far more on this common case.
-    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
-
-
 def check_integer(name: str, value) -> None:
     """Raise ValueError unless ``value`` is an integer, not a bool."""
-    if not _is_integer(value):
+    # The exact-int test first: the ABC check costs far more on this common case.
+    if not (type(value) is int
+            or isinstance(value, numbers.Integral) and not isinstance(value, bool)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _atom_from_record(rec) -> Atom:
-    if not isinstance(rec, dict) or "element" not in rec:
-        raise ValueError("atom record must be an object with an 'element' field")
-    h = rec.get("implicit_h", 0)
-    check_integer("implicit_h", h)
-    if h < 0:
-        raise ValueError(f"implicit_h must be nonnegative, got {h}")
-    aromatic = rec.get("aromatic", False)
-    if not isinstance(aromatic, bool):
-        raise ValueError(f"aromatic must be true or false, got {aromatic!r}")
-    return Atom(element=rec["element"], implicit_hydrogens=h, aromatic=aromatic)
 
 
 def _graph_from_record(rec) -> MolecularGraph:
     if not isinstance(rec, dict):
         raise ValueError("record must be an object")
-    if "id" not in rec or not isinstance(rec["id"], str):
+    if not isinstance(rec.get("id"), str):
         raise ValueError("missing string 'id' field")
-    if "atoms" not in rec or not isinstance(rec["atoms"], list):
+    atoms = rec.get("atoms")
+    if not isinstance(atoms, list):
         raise ValueError("missing 'atoms' array")
-    atoms = [_atom_from_record(a) for a in rec["atoms"]]
-    bonds = rec.get("bonds", [])
-    if not isinstance(bonds, list):
-        raise ValueError("'bonds' must be an array")
-    for b in bonds:
-        if not isinstance(b, list) or len(b) != 3:
-            raise ValueError("bond must be a [i, j, order] triple")
-        check_integer("bond endpoint", b[0])
-        check_integer("bond endpoint", b[1])
-    targets = rec.get("targets", {})
-    if not isinstance(targets, dict):
-        raise ValueError("targets must be an object")
-    targets = {k: finite_number(f"target {k!r}", v) for k, v in targets.items()}
-    fukui = rec.get("fukui")
-    if fukui is not None:
-        if not isinstance(fukui, list) or any(not isinstance(p, list) or len(p) != 2 for p in fukui):
-            raise ValueError("fukui must be an array of [f_minus, f_plus] pairs")
-        fukui = [(finite_number("fukui value", fm), finite_number("fukui value", fp))
-                 for fm, fp in fukui]
-    return MolecularGraph(id=rec["id"], atoms=atoms, bonds=bonds, targets=targets, fukui=fukui)
+    if not all(isinstance(a, dict) and "element" in a for a in atoms):
+        raise ValueError("atom record must be an object with an 'element' field")
+    atoms = [Atom(a["element"], a.get("implicit_h", 0), a.get("aromatic", False)) for a in atoms]
+    return MolecularGraph(rec["id"], atoms, rec.get("bonds", []), rec.get("targets", {}),
+                          rec.get("fukui"))
 
 
 def parse_graph_file(text: str) -> list[MolecularGraph]:

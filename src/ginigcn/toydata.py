@@ -53,14 +53,14 @@ class ToySpec:
                              f"{self.element_weights!r}")
         unknown = set(self.element_weights) - set(_ELEMENTS)
         if unknown:
-            raise ValueError(f"unsupported elements in weights: {sorted(unknown)}")
+            raise ValueError(f"unsupported elements in weights: {sorted(unknown, key=repr)}")
         weights = [finite_number(f"element weight {el!r}", w)
                    for el, w in self.element_weights.items()]
         if any(w < 0 for w in weights) or sum(weights) <= 0:
             raise ValueError("element weights must be nonnegative and not all zero")
         bad = set(self.planted) - set(PLANTED_TARGETS)
         if bad:
-            raise ValueError(f"unknown planted targets: {sorted(bad)}")
+            raise ValueError(f"unknown planted targets: {sorted(bad, key=repr)}")
 
 
 def planted_value(graph: MolecularGraph, name: str) -> float:

@@ -512,6 +512,21 @@ def test_missing_fukui_rejected():
         fukui_compare(model, [g], "y", "f_minus")
 
 
+def test_constant_fukui_rejected_before_the_forward_pass(monkeypatch):
+    # ethane's carbons share one f_minus, so that polarity has no rank correlation
+    model = small_model()
+    good = parse_smiles_subset("CCO")
+    good.fukui = [(0.1, 0.3), (0.2, 0.2), (0.3, 0.1)]
+    ethane = parse_smiles_subset("CC")
+    ethane.fukui = [(0.5, 0.1), (0.5, 0.2)]
+    per_mol, _ = fukui_compare(model, [good, ethane], "y", "f_plus")
+    assert [mol_id for mol_id, _ in per_mol] == ["CCO", "CC"]
+    monkeypatch.setattr(Model, "forward", lambda *args, **kwargs: pytest.fail("forward pass"))
+    with pytest.raises(ValueError, match="^molecule 'CC' has the same f_minus on every atom; "
+                                         "rank correlation is undefined$"):
+        fukui_compare(model, [good, ethane], "y", "f_minus")
+
+
 def test_fukui_compare_checks_the_model_before_the_data():
     g = parse_smiles_subset("CC")  # carries no fukui data
     with pytest.raises(ValueError, match="explainable"):

@@ -356,6 +356,22 @@ def test_fukui_compare_missing_data(workspace, capsys):
     assert "fukui" in capsys.readouterr().err
 
 
+def test_fukui_compare_constant_fukui_names_the_molecule(workspace, capsys):
+    ckpt, tmp = trained_checkpoint(workspace)
+    capsys.readouterr()  # drain the train command's output
+    ethane = ('{"id": "ethane", "atoms": [{"element": "C", "implicit_h": 3}, '
+              '{"element": "C", "implicit_h": 3}], "bonds": [[0, 1, 1]], '
+              '"fukui": [[0.5, 0.5], [0.5, 0.5]]}\n')
+    (tmp / "ethane.jsonl").write_text(ethane)
+    code = main(["fukui-compare", "--checkpoint", str(ckpt), "--dataset", str(tmp / "ethane.jsonl"),
+                 "--target", "size", "--polarity", "f_plus"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: molecule 'ethane' has the same f_plus on every atom; "
+                            "rank correlation is undefined\n")
+
+
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out

@@ -1,9 +1,10 @@
-"""Property tests for the four inputs a user controls.
+"""Property tests for the inputs a user controls.
 
-A SMILES string, a JSONL dataset document and a checkpoint document each
-either load or raise the documented error (MoleculeError, CheckpointError);
-no other exception escapes, a dataset that loads has finite target and Fukui
-values, and a checkpoint that loads has target names and
+A SMILES string, a JSONL dataset document, a graph built in code and a
+checkpoint document each either load or raise the documented error
+(MoleculeError, CheckpointError); no other exception escapes, a dataset or
+graph that loads has finite target and Fukui values, and a checkpoint that
+loads has target names and
 batch-norm settings a fresh model could have. The training part of a run
 config either builds a TrainConfig with finite, in-range fields, which then
 trains or diverges, or raises ValueError. Examples are derandomized and
@@ -25,7 +26,8 @@ from ginigcn.model import (
     model_from_document,
 )
 from ginigcn.gini import GiniConfig
-from ginigcn.molecules import MoleculeError, featurize, parse_graph_file, parse_smiles_subset
+from ginigcn.molecules import (Atom, MolecularGraph, MoleculeError, featurize, parse_graph_file,
+                               parse_smiles_subset)
 from ginigcn.toydata import ToySpec, generate_graphs
 from ginigcn.training import TrainConfig, TrainingDivergence, train
 
@@ -129,6 +131,48 @@ def test_dataset_parses_or_raises_molecule_error(text):
         pairs = rec.get("fukui") or ()
         values = [*rec.get("targets", {}).values(), *(v for pair in pairs for v in pair)]
         assert all(type(v) in (int, float) for v in values)
+
+
+# ------------------------------------------------------ graphs built in code
+
+CODE_ATOM = st.builds(Atom, st.sampled_from(["C", "N", "O", "F", "H", "X"]),
+                      either(st.integers(-1, 6) | HUGE_INTS), either(st.booleans()))
+GRAPH_FIELDS = st.fixed_dictionaries(
+    {"atoms": st.lists(CODE_ATOM, max_size=6)},
+    optional={
+        "bonds": either(st.lists(either(BOND.map(tuple)), max_size=6)),
+        "targets": either(st.dictionaries(st.text(max_size=3), NUMBER, max_size=3)),
+        "fukui": either(st.lists(either(st.tuples(NUMBER, NUMBER)), max_size=6)),
+    },
+)
+TWO_CARBONS = [Atom("C", 3), Atom("C", 3)]
+
+
+@examples(200)
+@given(GRAPH_FIELDS)
+@example({"atoms": TWO_CARBONS, "fukui": [("0.5", True), (0.5, 0.5)]})
+@example({"atoms": TWO_CARBONS, "targets": {"y": "abc"}})
+@example({"atoms": TWO_CARBONS, "bonds": None})
+@example({"atoms": TWO_CARBONS, "bonds": [(0, 1)]})
+@example({"atoms": TWO_CARBONS, "fukui": [(1.0,), (2.0,)]})
+@example({"atoms": TWO_CARBONS, "targets": {1: 2.0}})
+def test_graph_builds_or_raises_molecule_error(fields):
+    try:
+        graph = MolecularGraph(id="m", **fields)
+        featurize(graph)
+    except MoleculeError as e:
+        assert str(e).startswith("molecule 'm': ")
+        return
+    for atom in graph.atoms:
+        assert type(atom.implicit_hydrogens) is int and atom.implicit_hydrogens >= 0
+        assert type(atom.aromatic) is bool
+    assert all(type(name) is str for name in graph.targets)
+    for value in [*graph.targets.values(), *(v for pair in graph.fukui or () for v in pair)]:
+        assert type(value) is float and math.isfinite(value)
+    # every value stored as a number was given as one, not as a bool or a string
+    given = [*fields.get("targets", {}).values(),
+             *(v for pair in fields.get("fukui") or () for v in pair)]
+    assert all(type(v) in (int, float) for v in given)
 
 
 # ----------------------------------------------------- checkpoint documents

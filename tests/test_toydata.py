@@ -69,6 +69,11 @@ def test_spec_validation():
         ToySpec(num_molecules=5, planted=("size", "mystery"))
     with pytest.raises(ValueError):
         ToySpec(num_molecules=5, element_weights={"Xe": 1.0})
+    # keys of mixed kinds once failed with a TypeError from sorting them for the message
+    with pytest.raises(ValueError, match=r"unsupported elements in weights: \['Xe', 1\]"):
+        ToySpec(num_molecules=3, element_weights={1: 1.0, "Xe": 1.0})
+    with pytest.raises(ValueError, match="unknown planted targets"):
+        ToySpec(num_molecules=3, planted=("size", 1, "mystery"))
     # The integer rule of run configs: no floats, no booleans, no negative seed.
     for bad in ({"max_heavy_atoms": 2.5}, {"num_molecules": True}, {"num_molecules": 2.5},
                 {"seed": -1}):
