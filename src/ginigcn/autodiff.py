@@ -5,11 +5,11 @@ value plus a closure that maps the output gradient to per-parent gradient
 contributions. Only trainable leaves (parameters) hold a ``grad`` buffer;
 :func:`backward` passes gradients through intermediate nodes without
 storing them. The primitive set is what the GCN model and its loss need
-(the Gini regularizer is one node of its own), plus ``matmul``, ``absolute``,
-``gather``, ``slice_rows``, ``reshape``, ``clamp_min``, ``log`` and ``exp``,
-which ``bench/tracing.py`` binds by name; values are at most 2-dimensional and
-double precision throughout. No broadcasting beyond row-wise bias/scale
-addition and scalar (0-d) operands.
+(a graph convolution and the Gini regularizer are one node each), plus
+``matmul``, ``absolute``, ``gather``, ``slice_rows``, ``reshape``,
+``clamp_min``, ``log`` and ``exp``, which ``bench/tracing.py`` binds by name;
+values are at most 2-dimensional and double precision throughout. No
+broadcasting beyond row-wise bias/scale addition and scalar (0-d) operands.
 
 Subgradient conventions at kinks: relu'(0) = 0, abs'(0) = 0, segment max
 ties route the gradient to the lowest row index.
@@ -24,9 +24,10 @@ The ops and their arithmetic are the same with the tape on or off.
 
 Per-op overhead dominates a one-molecule forward pass (about 9 atoms), so
 the ops are trimmed of bookkeeping: requires_grad is plain boolean tests, a
-padded gather fills one buffer and reads it with ``take``, and segment max
-checks for empty segments without counting their rows. The values are the
-same bits as the untrimmed ops.
+padded gather fills one buffer and reads it with ``take``, a neighbour sum
+adds one table slot at a time, and segment max checks for empty segments
+without counting their rows. The values are the same bits as the untrimmed
+ops.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ __all__ = [
     "slice_rows",
     "reshape",
     "neighbor_sum",
+    "conv",
     "segment_aggregate",
     "batch_norm",
     "reduce",
@@ -371,12 +373,60 @@ def _table(x: Node, table) -> np.ndarray:
     return table
 
 
-def _gather(v: np.ndarray, table: np.ndarray, fill: float = 0.0) -> np.ndarray:
-    # (table rows, slots, features); the padding index len(v) reads fill.
+def _neighbor_table(x: Node, table, op: str) -> np.ndarray:
+    # One row per row of x; entries in [0, len(x)], the last being padding.
+    # The one bounds check of the table: _slots gathers with mode="clip".
+    table = _table(x, table)
+    n = x.shape[0]
+    if table.shape[0] != n:
+        raise ShapeError(f"{op}: {table.shape[0]} table rows for {n} rows")
+    # As unsigned, a negative entry is past n too.
+    if table.size and table.view(np.uintp).max() > n:
+        raise IndexError(f"{op}: table entries must lie in [0, {n}]")
+    return table
+
+
+def _pad(v: np.ndarray, fill: float = 0.0) -> np.ndarray:
+    # v with one more row of fill, read at the padding index len(v).
     padded = np.empty((v.shape[0] + 1, v.shape[1]))
     padded[:-1] = v
     padded[-1] = fill
-    return padded.take(table, axis=0)
+    return padded
+
+
+def _gather(v: np.ndarray, table: np.ndarray, fill: float = 0.0) -> np.ndarray:
+    # (table rows, slots, features); the padding index len(v) reads fill.
+    return _pad(v, fill).take(table, axis=0)
+
+
+# A table of at most this many entries sums its slots from one gather: a
+# one-molecule pass (about 45 entries) pays per numpy call, and slot by slot
+# takes twice the calls. From about 200 entries on, slot by slot is faster.
+_ONE_GATHER = 128
+
+
+def _slots(padded: np.ndarray, table: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """Row i sums the rows of ``padded`` listed in ``table[i]``, one slot at a time.
+
+    ``out = padded[table[:, 0]]``, then ``out += padded[table[:, s]]`` for each
+    further slot: the order in which a sum over a gathered slot axis adds, so
+    the same bits, without the (rows, slots, features) gather. A small table
+    without ``out`` takes that gather and its sum instead (``_ONE_GATHER``).
+    ``out`` and ``scratch`` are (rows, features) buffers, new arrays if not
+    given; the sums are returned, in ``out`` if given. The table must be
+    bounds-checked (:func:`_neighbor_table`): the slots are taken with
+    ``mode="clip"``, which writes into ``out`` unbuffered.
+    """
+    if out is None and table.size <= _ONE_GATHER:
+        return padded.take(table, axis=0).sum(axis=1)
+    # the method, not np.take, and no buffer per slot: small passes pay per call
+    slots = table.T
+    out = padded.take(slots[0], axis=0, out=out, mode="clip")
+    if len(slots) > 1 and scratch is None:
+        scratch = np.empty_like(out)
+    for slot in slots[1:]:
+        out += padded.take(slot, axis=0, out=scratch, mode="clip")
+    return out
 
 
 def neighbor_sum(x, table) -> Node:
@@ -384,18 +434,131 @@ def neighbor_sum(x, table) -> Node:
 
     The listing must be symmetric (j in row i exactly when i is in row j), as
     for atoms and their bonded neighbours, so backward sums the gradient alike.
+    Entries outside [0, len(x)] raise IndexError.
     """
     x = _wrap(x)
-    table = _table(x, table)
-    if table.shape[0] != x.shape[0]:
-        raise ShapeError(f"neighbor_sum: {table.shape[0]} table rows for {x.shape[0]} rows")
+    table = _neighbor_table(x, table, "neighbor_sum")
     # Slots add left to right; ascending rows match the dense (A + I) @ x sum order bit for bit.
-    out = _gather(x.value, table).sum(axis=1)
+    out = _slots(_pad(x.value), table)
 
     def bw(g):
-        return (_gather(g, table).sum(axis=1),)
+        return (_slots(_pad(g), table),)
 
     return Node(out, x.requires_grad, (x,), bw)
+
+
+def _conv_buffers(arena, h: np.ndarray, d_out: int):
+    # The padded input, the slot sum, its scratch and the output of one conv.
+    # Without an arena: a new padded copy, and the rest made by the ops. In an
+    # arena: the padded input is its first (n + 1) * d_in values, and the
+    # output overlays it in (n + 1, d_out) layout once the slot sum has read
+    # it, so the next conv finds its input padded in place.
+    n, d_in = h.shape
+    if arena is None:
+        return _pad(h), None, None, None
+    lead = (n + 1) * max(d_in, d_out)
+    if arena.size < lead + 2 * n * d_in:
+        raise ShapeError(f"conv: arena of {arena.size} values for {n} rows of {d_in} -> {d_out}")
+    padded = arena[:(n + 1) * d_in].reshape(n + 1, d_in)
+    # A contiguous h over the arena's first value is padded[:n] itself, the
+    # previous conv's output.
+    if not (h.flags.c_contiguous and np.may_share_memory(h, arena[:1])):
+        padded[:n] = h
+    padded[n] = 0.0
+    agg = arena[lead:lead + n * d_in].reshape(n, d_in)
+    scratch = arena[lead + n * d_in:lead + 2 * n * d_in].reshape(n, d_in)
+    out = arena[:(n + 1) * d_out].reshape(n + 1, d_out)[:n]
+    return padded, agg, scratch, out
+
+
+def conv(h, table, weight, bias, state: "BatchNormState", mode: str, arena=None) -> Node:
+    """One graph convolution ``relu(batch_norm(linear(neighbor_sum(h, table), weight, bias)))``.
+
+    One node in place of those four, with the same IEEE operations in the
+    same order, so the same bits, the same running-statistics update in
+    train mode and the same gradients for h, weight, bias, gamma and beta.
+    The affine map, the normalization and the ReLU run in place on one
+    array. Shapes are checked before any work.
+
+    ``arena`` is a 1-d float64 buffer for eval passes with the tape off,
+    of at least ``(n + 1) * max(d_in, d_out) + 2 * n * d_in`` values. The
+    arrays of the pass are views into it, the output too: it holds until
+    the next conv that writes into the same arena. A contiguous ``h`` that
+    starts at the arena's first value is taken to be that output, already
+    padded in place.
+    """
+    h, weight, bias = _wrap(h), _wrap(weight), _wrap(bias)
+    table = _neighbor_table(h, table, "conv")
+    n, d_in = h.shape
+    if weight.value.ndim != 2 or weight.shape[0] != d_in:
+        raise ShapeError(f"conv: input {h.shape} does not match weight {weight.shape}")
+    d_out = weight.shape[1]
+    if bias.value.ndim != 1 or bias.shape[0] != d_out:
+        raise ShapeError(f"conv: bias {bias.shape} does not match weight {weight.shape}")
+    if state.dim != d_out:
+        raise ShapeError(f"conv: weight {weight.shape} does not match batch norm dim {state.dim}")
+    if mode not in ("train", "eval"):
+        raise ValueError(f"unknown batch_norm mode {mode!r}")
+    if mode == "train" and n < 2:
+        raise ValueError("batch_norm train mode requires at least 2 rows")
+    gamma, beta = state.gamma, state.beta
+    taped = _recording.on and (h.requires_grad or weight.requires_grad or bias.requires_grad
+                               or gamma.requires_grad or beta.requires_grad)
+    if arena is not None and (taped or mode == "train"):
+        raise ValueError("conv: an arena serves eval passes with the tape off")
+
+    padded, agg, scratch, out = _conv_buffers(arena, h.value, d_out)
+    agg = _slots(padded, table, agg, scratch)
+    xhat = np.matmul(agg, weight.value, out=out)
+    xhat += bias.value
+    if mode == "train":
+        mu = xhat.mean(axis=0)
+        var = xhat.var(axis=0)  # biased
+        state.running_mean = (1.0 - state.momentum) * state.running_mean + state.momentum * mu
+        state.running_var = (1.0 - state.momentum) * state.running_var + state.momentum * var
+    else:
+        mu, var = state.running_mean, state.running_var
+    inv = 1.0 / np.sqrt(var + state.epsilon)
+    xhat -= mu
+    xhat *= inv
+    # The tape keeps xhat for backward; without it, xhat becomes the output.
+    out = xhat * gamma.value if taped else np.multiply(xhat, gamma.value, out=xhat)
+    out += beta.value
+    mask = out > 0.0 if taped else None
+    np.fmax(out, 0.0, out=out)  # relu; NaN -> 0
+    out += 0.0  # fmax(-0.0, 0.0) may be -0.0; this makes it +0.0
+    if not taped:
+        return Node(out)
+
+    def bw(g):
+        g = g * mask
+        dbeta = g.sum(axis=0) if beta.requires_grad else None
+        dgamma = (g * xhat).sum(axis=0) if gamma.requires_grad else None
+        if not (h.requires_grad or weight.requires_grad or bias.requires_grad):
+            return (None, None, None, dgamma, dbeta)
+        # batch_norm's input gradient, its composite's ops in order
+        dpre = g
+        dpre *= gamma.value
+        if mode == "train":
+            total = dpre.sum(axis=0)
+            dot = (dpre * xhat).sum(axis=0)
+            dpre *= n
+            dpre -= total
+            dpre -= xhat * dot
+            dpre *= inv / n
+        else:
+            dpre *= inv
+        gw = agg.T @ dpre if weight.requires_grad else None
+        gb = dpre.sum(axis=0) if bias.requires_grad else None
+        gh = None
+        if h.requires_grad:
+            gpad = np.empty((n + 1, d_in))
+            np.matmul(dpre, weight.value.T, out=gpad[:n])
+            gpad[n] = 0.0
+            gh = _slots(gpad, table)
+        return (gh, gw, gb, dgamma, dbeta)
+
+    return Node(out, True, (h, weight, bias, gamma, beta), bw)
 
 
 def segment_aggregate(x, table, kind: str) -> Node:

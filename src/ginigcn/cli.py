@@ -244,7 +244,10 @@ def _selftest_checks():
         atoms = [[0, 1, 2], [3, 4, 4]]
         ops = [lambda n: ad.neighbor_sum(n, neighbors),
                lambda n: ad.segment_aggregate(n, atoms, "mean"),
-               lambda n: ad.segment_aggregate(n, atoms, "max")]
+               lambda n: ad.segment_aggregate(n, atoms, "max"),
+               # one train-mode convolution; its batch statistics move with the input
+               lambda n: ad.conv(n, neighbors, ad.constant(w), ad.constant(b),
+                                 ad.BatchNormState(2), "train")]
         return all(ad.grad_check(lambda n: ad.reduce(ad.tanh(op(n)), "sum"), x) < 1e-6
                    for op in ops)
 

@@ -107,15 +107,16 @@ class BatchForward:
 
 
 def conv_forward(h: ad.Node, neighbors: np.ndarray, weight: ad.Node, bias: ad.Node,
-                 bn_state: ad.BatchNormState, mode: str) -> ad.Node:
+                 bn_state: ad.BatchNormState, mode: str, arena=None) -> ad.Node:
     """One fingerprint convolution: ReLU(BN(W (h_v + sum of neighbors) + b)).
 
     Row v of the ``neighbors`` table lists atom v and its bonded neighbors in
-    ascending order, padded with the atom count.
+    ascending order, padded with the atom count. It is one tape node,
+    :func:`autodiff.conv`, which sums the neighbours slot by slot and runs the
+    affine map, batch norm and ReLU in place; an eval pass with the tape off
+    may write its arrays into ``arena`` (see :meth:`Model.predict`).
     """
-    agg = ad.neighbor_sum(h, neighbors)
-    pre = ad.linear(agg, weight, bias)
-    return ad.relu(ad.batch_norm(pre, bn_state, mode))
+    return ad.conv(h, neighbors, weight, bias, bn_state, mode, arena)
 
 
 def fingerprint(node_reps: ad.Node, atoms: np.ndarray) -> ad.Node:
@@ -248,24 +249,32 @@ class Model:
         for node in self.parameters():
             node.zero_grad()
 
-    def forward_batch(self, graphs: list[MolecularGraph], mode: str = "eval") -> BatchForward:
-        """Run the full network over a batch of molecules, packed in input order."""
+    def forward_batch(self, graphs: list[MolecularGraph], mode: str = "eval",
+                      arena=None) -> BatchForward:
+        """Run the full network over a batch of molecules, packed in input order.
+
+        ``arena`` is passed to :meth:`forward`.
+        """
         packed = PackedDataset(graphs)
-        return self.forward(packed.x, packed.neighbors, _atom_table(packed.offsets), mode)
+        return self.forward(packed.x, packed.neighbors, _atom_table(packed.offsets), mode,
+                            arena)
 
     def forward(self, x: np.ndarray, neighbors: np.ndarray, atoms: np.ndarray,
-                mode: str = "eval") -> BatchForward:
+                mode: str = "eval", arena=None) -> BatchForward:
         """Run the full network over a batch from :meth:`PackedDataset.take`.
 
         Eval mode records no tape: its nodes require no grad and keep no
         parents, so each intermediate is freed once the next layer has read it.
+        With an ``arena`` (eval mode only; see :meth:`predict`), the conv
+        layers write their arrays into it, and ``node_reps`` is a view of it
+        that the next pass into the same arena overwrites.
         """
         recording = ad._set_recording(mode != "eval")
         try:
             h = ad.constant(x)
             for ell in range(self.config.num_conv_layers):
                 h = conv_forward(h, neighbors, self.conv_weights[ell], self.conv_biases[ell],
-                                 self.conv_bn[ell], mode)
+                                 self.conv_bn[ell], mode, arena)
             fp = fingerprint(h, atoms)
             head = fp
             if self.config.variant == VARIANT_REFERENCE:
@@ -280,15 +289,22 @@ class Model:
         """Eval-mode prediction matrix (molecules, targets); column j is targets[j].
 
         The molecules run in :func:`eval_slices`, one packed forward pass per
-        slice, so memory is bounded by one slice whatever the list length.
+        slice. The call allocates one float64 arena, sized from the atom count
+        of its largest slice, and every slice's conv layers write their
+        (atoms, H) arrays into it; so memory is bounded by one slice whatever
+        the list length, and the rows come out in new arrays.
         The rows are the bits of one :meth:`forward_batch` over the whole list
         while molecules x output-layer inputs x targets stays within 1e6
         (2,604 molecules at H=64 and 3 targets). Past that, single-threaded
         OpenBLAS switches the one pass's output product to its large-matrix
         kernel, which moves some of that pass's rows by about 1e-15.
         """
-        return np.concatenate([self.forward_batch(part).output.value
-                               for part in eval_slices(graphs)])
+        parts = eval_slices(graphs)
+        atoms = max(sum(len(g.atoms) for g in part) for part in parts)
+        # Per conv: the padded input, which the output overlays, and two (atoms, d_in) sums.
+        arena = np.empty(3 * (atoms + 1) * max(FEATURE_DIM, self.config.conv_hidden))
+        return np.concatenate([self.forward_batch(part, arena=arena).output.value
+                               for part in parts])
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:

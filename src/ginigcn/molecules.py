@@ -48,6 +48,9 @@ VALID_ORDERS = (1, 2, 3, AROMATIC)
 # element one-hot (5) + heavy degree one-hot 0-4 (5) + aromatic flag (1)
 # + implicit hydrogen count one-hot 0-4 (5)
 FEATURE_DIM = 16
+_ELEMENT_INDEX = {el: k for k, el in enumerate(SUPPORTED_ELEMENTS)}
+_MAX_ONE_HOT = 4
+_HYDROGEN_COLUMN = 11
 
 
 class MoleculeError(ValueError):
@@ -73,6 +76,13 @@ class MolecularGraph:
     to finite numbers, and ``fukui`` holds one ``(f_minus, f_plus)`` pair of
     finite numbers per atom; both are stored as floats. A failure raises
     ``MoleculeError("molecule '<id>': ...")``.
+
+    After the checks the graph keeps two flat int64 arrays that
+    :func:`pack_graphs` reads in place of the atoms and bonds: ``atom_codes``,
+    per atom the element column, the hydrogen column
+    ``11 + min(implicit_hydrogens, 5)`` and the aromatic flag, and
+    ``bond_ends``, the ``i, j`` of each bond, ``i < j``. They are built once,
+    so the atoms and bonds of a built graph are not to be changed in place.
     """
 
     id: str
@@ -87,6 +97,7 @@ class MolecularGraph:
             if not self.atoms:
                 raise ValueError("at least one atom required")
             n = len(self.atoms)
+            codes = []
             for atom in self.atoms:
                 if atom.element not in SUPPORTED_ELEMENTS:
                     raise ValueError(f"unsupported element {atom.element!r}")
@@ -95,10 +106,15 @@ class MolecularGraph:
                     raise ValueError("negative implicit hydrogen count")
                 if not isinstance(atom.aromatic, bool):
                     raise ValueError(f"aromatic must be true or false, got {atom.aromatic!r}")
+                # a count past 4 caps at the first column past the one-hot, so it fits int64
+                codes += (_ELEMENT_INDEX[atom.element],
+                          _HYDROGEN_COLUMN + min(atom.implicit_hydrogens, _MAX_ONE_HOT + 1),
+                          atom.aromatic)
             if not isinstance(self.bonds, (list, tuple)):
                 raise ValueError(f"bonds must be a list of triples, got {self.bonds!r}")
             seen = set()
             normalized = []
+            ends = []
             for bond in self.bonds:
                 if not isinstance(bond, (list, tuple)) or len(bond) != 3:
                     raise ValueError(f"bond must be an (i, j, order) triple, got {bond!r}")
@@ -117,7 +133,10 @@ class MolecularGraph:
                     raise ValueError(f"duplicate bond {key}")
                 seen.add(key)
                 normalized.append((key[0], key[1], order))
+                ends += key
             self.bonds = normalized
+            self.atom_codes = np.array(codes, dtype=np.int64)
+            self.bond_ends = np.array(ends, dtype=np.int64)
             targets = self.targets
             if not isinstance(targets, dict) or not all(isinstance(k, str) for k in targets):
                 raise ValueError(f"targets must map names to numbers, got {targets!r}")
@@ -346,44 +365,40 @@ def parse_smiles_subset(smiles: str) -> MolecularGraph:
     return MolecularGraph(id=smiles, atoms=atoms, bonds=bonds)
 
 
-_ELEMENT_INDEX = {el: k for k, el in enumerate(SUPPORTED_ELEMENTS)}
-_MAX_ONE_HOT = 4
-
-
 def pack_graphs(graphs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Node features, atom offsets and neighbour table of ``graphs``, stacked in order.
 
     ``x`` has the :func:`featurize` layout, one row per atom; molecule k owns
     rows ``offsets[k]:offsets[k + 1]``. Row v of ``neighbors`` lists atom v
     and its bonded neighbours, ascending, padded with the atom count. The
-    first atom in list order whose degree or implicit hydrogen count exceeds
-    4 raises MoleculeError, its degree checked first.
+    arrays come from each graph's ``atom_codes`` and ``bond_ends``, with no
+    pass in Python over atoms or bonds. The first atom in list order whose
+    degree or implicit hydrogen count exceeds 4 raises MoleculeError, its
+    degree checked first.
     """
-    starts = [0, *accumulate(len(g.atoms) for g in graphs)]
-    n = starts[-1]
-    # Per atom: element column, hydrogen column, aromatic flag. A hydrogen
-    # count past int64 makes this an object array, which the check below reads.
-    codes = np.array([c for g in graphs for a in g.atoms
-                      for c in (_ELEMENT_INDEX[a.element], 11 + a.implicit_hydrogens, a.aromatic)])
-    codes = codes.reshape(n, 3)
-    # Key row * n + neighbour: each atom's self key, then both directions of each bond.
-    keys = [*range(0, n * (n + 1), n + 1)]
-    keys += [k for g, base in zip(graphs, [s * (n + 1) for s in starts]) for i, j, _ in g.bonds
-             for k in (base + i * n + j, base + j * n + i)]
-    keys = np.array(keys)
+    starts = np.array([0, *accumulate(len(g.atoms) for g in graphs)])
+    n = int(starts[-1])
+    codes = np.concatenate([g.atom_codes for g in graphs]).reshape(n, 3)
+    ends = np.concatenate([g.bond_ends for g in graphs]).reshape(-1, 2)
+    ends += np.repeat(starts[:-1], [len(g.bonds) for g in graphs])[:, None]
+    # Key row * n + neighbour: each atom's self key and both directions of each bond.
+    i, j = ends.T
+    keys = np.concatenate((np.arange(0, n * (n + 1), n + 1), i * n + j, j * n + i))
     keys.sort()
     rows, nbrs = np.divmod(keys, n)
     widths = np.bincount(rows)  # degree + 1
     width = widths.max()
     # Element columns stop at 4 and the flag at 1, so only a hydrogen column passes 15.
-    if width > _MAX_ONE_HOT + 1 or codes.max() > 11 + _MAX_ONE_HOT:
-        degrees, hydrogens = widths - 1, codes[:, 1] - 11
-        v = int(((degrees > _MAX_ONE_HOT) | (hydrogens > _MAX_ONE_HOT)).argmax())
+    if width > _MAX_ONE_HOT + 1 or codes.max() > _HYDROGEN_COLUMN + _MAX_ONE_HOT:
+        degrees = widths - 1
+        too_many_h = codes[:, 1] > _HYDROGEN_COLUMN + _MAX_ONE_HOT
+        v = int(((degrees > _MAX_ONE_HOT) | too_many_h).argmax())
         m = int(np.searchsorted(starts, v, side="right")) - 1
         where = f"molecule {graphs[m].id!r}: atom {v - starts[m]}"
         if degrees[v] > _MAX_ONE_HOT:
             raise MoleculeError(f"{where} degree {degrees[v]} > {_MAX_ONE_HOT}")
-        raise MoleculeError(f"{where} implicit hydrogen count {hydrogens[v]} > {_MAX_ONE_HOT}")
+        count = graphs[m].atoms[v - starts[m]].implicit_hydrogens  # the real count, not the cap
+        raise MoleculeError(f"{where} implicit hydrogen count {count} > {_MAX_ONE_HOT}")
     x = np.zeros((n, FEATURE_DIM))
     x[:, 10] = codes[:, 2]
     codes[:, 2] = widths + 4  # the degree column, 5 + degree
@@ -392,7 +407,7 @@ def pack_graphs(graphs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     neighbors.fill(n)
     # Keys are sorted, so row r's keys run from rows.searchsorted(r), ascending.
     neighbors[rows, np.arange(len(keys)) - rows.searchsorted(rows)] = nbrs
-    return x, np.array(starts), neighbors
+    return x, starts, neighbors
 
 
 def featurize(graph: MolecularGraph) -> np.ndarray:

@@ -58,9 +58,12 @@ class ToySpec:
                    for el, w in self.element_weights.items()]
         if any(w < 0 for w in weights) or sum(weights) <= 0:
             raise ValueError("element weights must be nonnegative and not all zero")
-        bad = set(self.planted) - set(PLANTED_TARGETS)
+        if isinstance(self.planted, str) or not isinstance(self.planted, (list, tuple)):
+            raise ValueError(f"planted must be a list of target names, got {self.planted!r}")
+        # membership by ==, so an unhashable entry is named too, not a TypeError
+        bad = sorted({repr(p) for p in self.planted if p not in PLANTED_TARGETS})
         if bad:
-            raise ValueError(f"unknown planted targets: {sorted(bad, key=repr)}")
+            raise ValueError(f"unknown planted targets: [{', '.join(bad)}]")
 
 
 def planted_value(graph: MolecularGraph, name: str) -> float:

@@ -227,6 +227,143 @@ def test_non_grad_nodes_keep_no_parents_with_the_tape_on():
     assert not out.requires_grad and out._parents == () and out._backward is None
 
 
+# ------------------------------------------------------------ conv
+
+
+def random_neighbor_table(rng, n, p=0.3):
+    """Row v lists v and its neighbours in a random symmetric graph, ascending,
+    padded with n to one slot past the widest row."""
+    adj = np.triu(rng.random((n, n)) < p, 1)
+    adj = adj | adj.T | np.eye(n, dtype=bool)
+    rows = [list(np.flatnonzero(r)) for r in adj]
+    width = max(map(len, rows)) + 1
+    return np.array([r + [n] * (width - len(r)) for r in rows], dtype=np.intp)
+
+
+def composite_conv(h, table, weight, bias, state, mode):
+    """The four nodes that ad.conv replaces."""
+    return ad.relu(ad.batch_norm(ad.linear(ad.neighbor_sum(h, table), weight, bias), state, mode))
+
+
+@pytest.mark.parametrize("n", [4, 40])  # one gather for a small table, slot by slot past it
+def test_neighbor_sum_matches_the_sum_over_a_gathered_slot_axis(n):
+    # the (rows, slots, features) gather the slot-by-slot sum replaced, both ways
+    rng = np.random.default_rng(21)
+    table = random_neighbor_table(rng, n)
+    h, g = rng.normal(size=(n, 7)), rng.normal(size=(n, 7))
+
+    def gathered(v):
+        return np.vstack([v, np.zeros((1, v.shape[1]))]).take(table, axis=0).sum(axis=1)
+
+    x = ad.parameter(h)
+    out = ad.neighbor_sum(x, table)
+    assert out.value.tobytes() == gathered(h).tobytes()
+    ad.backward(ad.reduce(ad.mul(out, ad.constant(g)), "sum"))
+    assert x.grad.tobytes() == gathered(g).tobytes()
+
+
+def conv_operands(rng, n=23, d_in=6, d_out=5):
+    return dict(h=rng.normal(size=(n, d_in)), weight=rng.normal(size=(d_in, d_out)),
+                bias=rng.normal(size=d_out), gamma=rng.normal(size=d_out),
+                beta=rng.normal(size=d_out), mean=rng.normal(size=d_out),
+                var=rng.random(d_out) + 0.5)
+
+
+def conv_state(v, make=ad.parameter):
+    state = ad.BatchNormState(len(v["gamma"]))
+    state.gamma, state.beta = make(v["gamma"].copy()), make(v["beta"].copy())
+    state.running_mean, state.running_var = v["mean"].copy(), v["var"].copy()
+    return state
+
+
+@pytest.mark.parametrize("n", [5, 23])  # a table below and above ad._ONE_GATHER entries
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_conv_matches_the_four_node_composite_bit_for_bit(mode, n):
+    rng = np.random.default_rng(5)
+    v = conv_operands(rng, n)
+    table = random_neighbor_table(rng, len(v["h"]))
+    scale = rng.normal(size=(len(v["h"]), len(v["bias"])))
+    results = []
+    for op in (composite_conv, ad.conv):
+        h, w, b = (ad.parameter(v[k].copy()) for k in ("h", "weight", "bias"))
+        state = conv_state(v)
+        out = op(h, table, w, b, state, mode)
+        ad.backward(ad.reduce(ad.mul(out, ad.constant(scale)), "sum"))
+        results.append({"out": out.value, "running_mean": state.running_mean,
+                        "running_var": state.running_var, "h": h.grad, "weight": w.grad,
+                        "bias": b.grad, "gamma": state.gamma.grad, "beta": state.beta.grad})
+    composite, fused = results
+    assert (composite["out"] == 0.0).any() and (composite["out"] > 0.0).any()
+    for name, want in composite.items():
+        got = fused[name]
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    assert np.abs(fused["h"]).max() > 0.0
+
+
+def test_conv_chain_in_one_arena_matches_the_composite():
+    # eval with the tape off: each conv's output overlays its padded input in
+    # the arena, where the next conv reads it
+    rng = np.random.default_rng(8)
+    first, second = conv_operands(rng, 17, 4, 6), conv_operands(rng, 17, 6, 6)
+    table = random_neighbor_table(rng, 17)
+    arena = np.empty(3 * 18 * 6)
+    previous = ad._set_recording(False)
+    try:
+        want = got = ad.constant(first["h"])
+        for v in (first, second):
+            w, b = ad.constant(v["weight"]), ad.constant(v["bias"])
+            want = composite_conv(want, table, w, b, conv_state(v, ad.constant), "eval")
+            got = ad.conv(got, table, w, b, conv_state(v, ad.constant), "eval", arena)
+            assert np.shares_memory(got.value, arena)
+            assert got.value.tobytes() == want.value.tobytes()
+    finally:
+        ad._set_recording(previous)
+
+
+def test_conv_checks_shapes_before_any_work():
+    rng = np.random.default_rng(2)
+    h = rng.normal(size=(4, 2))
+    table = np.array([[0, 1], [0, 1], [2, 4], [3, 4]])
+    w, b = ad.constant(rng.normal(size=(2, 3))), ad.constant(np.zeros(3))
+    state = ad.BatchNormState(3)
+    bad = [
+        (ad.ShapeError, (h[:, :1], table, w, b, state)),          # input vs weight
+        (ad.ShapeError, (h[0], table, w, b, state)),              # 1-d input
+        (ad.ShapeError, (h, table[:3], w, b, state)),             # a row short
+        (ad.ShapeError, (h, table[0], w, b, state)),              # not a table
+        (ad.ShapeError, (h, table, w, ad.constant(np.zeros(2)), state)),
+        (ad.ShapeError, (h, table, w, b, ad.BatchNormState(4))),
+        (IndexError, (h, np.where(table == 4, 5, table), w, b, state)),  # past the padding
+        (IndexError, (h, np.where(table == 4, -1, table), w, b, state)),
+    ]
+    for error, args in bad:
+        with pytest.raises(error):
+            ad.conv(*args, "train")
+        assert np.array_equal(state.running_mean, np.zeros(3))
+        assert np.array_equal(state.running_var, np.ones(3))
+    with pytest.raises(ValueError, match="unknown batch_norm mode"):
+        ad.conv(h, table, w, b, state, "test")
+    with pytest.raises(ValueError, match="at least 2 rows"):
+        ad.conv(h[:1], [[0]], w, b, state, "train")
+    with pytest.raises(ValueError, match="arena"):
+        ad.conv(h, table, w, b, state, "train", np.empty(100))
+    previous = ad._set_recording(False)
+    try:
+        with pytest.raises(ad.ShapeError, match="arena"):
+            ad.conv(h, table, w, b, state, "eval", np.empty(5 * 3 + 2 * 4 * 2 - 1))
+    finally:
+        ad._set_recording(previous)
+    assert np.array_equal(state.running_mean, np.zeros(3))
+
+
+def test_neighbor_sum_rejects_entries_out_of_range():
+    x = ad.constant(np.ones((2, 1)))
+    for entry in (3, -1):
+        with pytest.raises(IndexError, match=r"in \[0, 2\]"):
+            ad.neighbor_sum(x, [[0, 1], [0, entry]])
+
+
 def test_ndim_limit():
     with pytest.raises(ad.ShapeError):
         ad.Node(np.zeros((2, 2, 2)))
@@ -417,6 +554,46 @@ def _f_segmax(rng):
         lambda x: ad.reduce(ad.mul(ad.segment_aggregate(x, segs, "max"), ad.constant(scale)), "sum"),
         sample(),
     )
+
+
+# The conv cases: path 1-0-2-3 plus a lone atom 4; 5 is the padding index.
+CONV_TABLE = [[0, 1, 2], [0, 1, 5], [0, 2, 3], [2, 3, 5], [4, 5, 5]]
+
+
+def conv_case(rng, mode, wrt):
+    """ad.conv as a function of one of its operands, weighted and summed.
+
+    The other operands are fixed random draws, redrawn until every
+    pre-ReLU value is at least 1e-3 from the kink.
+    """
+    shapes = {"h": (5, 2), "weight": (2, 3), "bias": (3,), "gamma": (3,), "beta": (3,)}
+    mean, var = rng.normal(size=3), rng.random(3) + 0.5
+    scale = rng.normal(size=(5, 3))
+
+    def conv(args, pre_relu=False):
+        state = ad.BatchNormState(3)
+        state.gamma, state.beta = args["gamma"], args["beta"]
+        state.running_mean, state.running_var = mean.copy(), var.copy()
+        if pre_relu:
+            agg = ad.neighbor_sum(args["h"], CONV_TABLE)
+            return ad.batch_norm(ad.linear(agg, args["weight"], args["bias"]), state, mode)
+        return ad.conv(args["h"], CONV_TABLE, args["weight"], args["bias"], state, mode)
+
+    while True:
+        fixed = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+        nodes = {k: ad.constant(v) for k, v in fixed.items()}
+        if np.abs(conv(nodes, pre_relu=True).value).min() > 1e-3:
+            break
+
+    def f(x):
+        return ad.reduce(ad.mul(conv({**nodes, wrt: x}), ad.constant(scale)), "sum")
+
+    return f, fixed[wrt]
+
+
+for _mode, _wrt in [("train", "h"), ("train", "weight"), ("train", "gamma"), ("train", "beta"),
+                    ("eval", "h"), ("eval", "bias")]:
+    case(f"conv_{_mode}_{_wrt}")(lambda rng, mode=_mode, wrt=_wrt: conv_case(rng, mode, wrt))
 
 
 # The batch-norm cases weight the output by a fixed random matrix before

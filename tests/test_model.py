@@ -15,6 +15,7 @@ from ginigcn.model import (
     ModelConfig,
     checkpoint_document,
     conv_forward,
+    eval_slices,
     fingerprint,
     init_model,
     model_from_document,
@@ -22,7 +23,8 @@ from ginigcn.model import (
     slice_bounds,
 )
 from ginigcn.gini import GiniConfig
-from ginigcn.molecules import Atom, MolecularGraph, MoleculeError, featurize, parse_smiles_subset
+from ginigcn.molecules import (Atom, MolecularGraph, MoleculeError, featurize, pack_graphs,
+                               parse_smiles_subset)
 from ginigcn.toydata import ToySpec, generate_graphs
 from ginigcn.training import TrainConfig, train
 
@@ -288,6 +290,47 @@ def test_pack_names_the_first_atom_out_of_range(bad_atoms, message):
         featurize(bad)
 
 
+def test_pack_from_the_cached_arrays_matches_the_reference():
+    # toy molecules with lone atoms and bonded-free molecules among them
+    graphs = generate_graphs(ToySpec(num_molecules=40, seed=12))
+    graphs[5:5] = [parse_smiles_subset("C"), parse_smiles_subset("O")]
+    graphs[20:20] = [MolecularGraph(id="free", atoms=[Atom("N", 3), Atom("F", 1, True)])]
+    graphs += [parse_smiles_subset("F")]
+    for g in graphs:
+        assert g.atom_codes.dtype == g.bond_ends.dtype == np.int64
+        assert g.atom_codes.tolist() == [c for a in g.atoms for c in (
+            "HCNOF".index(a.element), 11 + a.implicit_hydrogens, a.aromatic)]
+        assert g.bond_ends.tolist() == [k for i, j, _ in g.bonds for k in (i, j)]
+    x, offsets, neighbors = pack_graphs(graphs)
+    want_x, want_neighbors, _ = reference_batch(graphs)
+    want_offsets = np.cumsum([0] + [g.num_atoms for g in graphs])
+    for got, want in ((x, want_x), (offsets, want_offsets), (neighbors, want_neighbors)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_pack_names_a_hydrogen_count_past_int64():
+    # the cached hydrogen column caps at 16; the message reads the atom's own count
+    count = 2 ** 70
+    big = MolecularGraph(id="big", atoms=[Atom("C"), Atom("C", count)], bonds=[(0, 1, 1)])
+    assert big.atom_codes[3 + 1] == 16
+    with pytest.raises(MoleculeError, match=f"^molecule 'big': atom 1 implicit hydrogen count "
+                                            f"{count} > 4$"):
+        pack_graphs([parse_smiles_subset("CC"), big])
+
+
+@pytest.mark.parametrize("entry", [-1, 1, 2], ids=["negative", "past_padding", "far"])
+def test_forward_rejects_a_neighbor_index_out_of_range(entry):
+    # the conv gathers with mode="clip", so its one bounds check must catch these
+    model = init_model(ModelConfig(targets=["a"], conv_hidden=4, num_conv_layers=2, seed=0))
+    x, neighbors, atoms = PackedDataset(generate_graphs(ToySpec(num_molecules=3, seed=1))).take(
+        [0, 1, 2])
+    neighbors[0, -1] = len(x) + entry if entry > 0 else entry
+    for mode in ("eval", "train"):
+        with pytest.raises(IndexError, match="table entries must lie in"):
+            model.forward(x, neighbors, atoms, mode=mode)
+
+
 def test_take_rejects_empty_batch():
     pack = PackedDataset([parse_smiles_subset("CC")])
     with pytest.raises(ValueError):
@@ -426,6 +469,36 @@ def test_predict_in_slices_equals_one_pass(variant):
     for n in (1, 2, SLICE - 1, SLICE, SLICE + 1, 2 * SLICE + 1, 1000):
         sliced = model.predict(graphs[:n])
         assert np.array_equal(sliced, model.forward_batch(graphs[:n]).output.value), n
+
+
+def test_predict_arena_serves_every_slice():
+    # the arena is sized from the largest slice, here the second: small
+    # molecules fill the first, and a lone trailing molecule joins the last
+    model = init_model(ModelConfig(targets=["a", "b"], conv_hidden=16, num_conv_layers=3, seed=2))
+    graphs = generate_graphs(ToySpec(num_molecules=SLICE, max_heavy_atoms=3, seed=3))
+    graphs += generate_graphs(ToySpec(num_molecules=SLICE + 1, seed=4))
+    parts = eval_slices(graphs)
+    sizes = [sum(g.num_atoms for g in part) for part in parts]
+    assert len(parts) == 2 and sizes[1] > sizes[0]
+    want = np.concatenate([model.forward_batch(part).output.value for part in parts])
+    first = model.predict(graphs)
+    assert first.tobytes() == want.tobytes()
+    assert model.predict(graphs).tobytes() == first.tobytes()
+
+
+def test_forward_batch_result_outlives_later_calls():
+    # only predict writes into an arena, and its rows come out in new arrays
+    model = init_model(ModelConfig(targets=["a"], conv_hidden=8, num_conv_layers=2, seed=1))
+    graphs = generate_graphs(ToySpec(num_molecules=20, seed=6))
+    fwd = model.forward_batch(graphs)
+    kept = [node.value.copy() for node in (fwd.output, fwd.fingerprint, fwd.node_reps)]
+    pred = model.predict(graphs)
+    kept_pred = pred.copy()
+    model.predict(graphs[::-1])
+    model.forward_batch(graphs[3:])
+    for node, before in zip((fwd.output, fwd.fingerprint, fwd.node_reps), kept):
+        assert node.value.tobytes() == before.tobytes()
+    assert pred.tobytes() == kept_pred.tobytes()
 
 
 def test_predict_peak_flat_in_list_length():

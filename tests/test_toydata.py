@@ -85,3 +85,15 @@ def test_spec_validation():
             ToySpec(num_molecules=5, element_weights=weights)
     with pytest.raises(ValueError, match="element_weights must map elements to weights"):
         ToySpec(num_molecules=5, element_weights=[("C", 1.0)])
+
+
+def test_planted_as_one_string_is_rejected():
+    # "size" once read as the names s, i, z, e
+    with pytest.raises(ValueError, match=r"^planted must be a list of target names, got 'size'$"):
+        ToySpec(num_molecules=3, planted="size")
+
+
+def test_planted_with_an_unhashable_entry_is_rejected():
+    # once a TypeError from building a set of the entries
+    with pytest.raises(ValueError, match=r"^unknown planted targets: \[\['size'\]\]$"):
+        ToySpec(num_molecules=3, planted=[["size"]])
