@@ -4,12 +4,19 @@ Tape-style engine: every operation returns a ``Node`` holding the forward
 value plus a closure that maps the output gradient to per-parent gradient
 contributions. Only trainable leaves (parameters) hold a ``grad`` buffer;
 :func:`backward` passes gradients through intermediate nodes without
-storing them. The primitive set is what the GCN model and its loss need
-(a graph convolution and the Gini regularizer are one node each), plus
-``matmul``, ``absolute``, ``gather``, ``slice_rows``, ``reshape``,
-``clamp_min``, ``log`` and ``exp``, which ``bench/tracing.py`` binds by name;
-values are at most 2-dimensional and double precision throughout. No
-broadcasting beyond row-wise bias/scale addition and scalar (0-d) operands.
+storing them. The GCN model runs on ``constant``, ``parameter``, ``conv``
+(a graph convolution is one node), ``linear``, and ``batch_norm`` and
+``relu`` for the reference variant's head; the fingerprint, the loss and
+the Gini regularizer are one :class:`Node` each, built in their own
+modules, and ``selftest`` grad-checks ``neighbor_sum``. The other
+primitives have no caller in the package: ``matmul``, ``absolute``,
+``gather``, ``slice_rows``, ``reshape``, ``clamp_min``, ``log`` and ``exp``,
+and ``sub``, ``mul``, ``div``, ``reduce``, ``segment_aggregate``, ``tanh``
+and ``concat_cols``, whose last callers became the loss and fingerprint
+nodes. They stay because ``bench/tracing.py`` binds them by name, and the
+tests build their references from them. Values are at most 2-dimensional
+and double precision throughout. No broadcasting beyond row-wise
+bias/scale addition and scalar (0-d) operands.
 
 Subgradient conventions at kinks: relu'(0) = 0, abs'(0) = 0, segment max
 ties route the gradient to the lowest row index.
@@ -93,7 +100,11 @@ class Node:
 
     A trainable leaf (``requires_grad`` and no parents) holds a same-shape
     ``grad`` buffer that accumulates across :func:`backward` calls until reset
-    with :meth:`zero_grad`. Every other node's ``grad`` is ``None``:
+    with :meth:`zero_grad`, which binds a new zero array. :func:`backward`
+    adds into the buffer in place, so it may be a view of a larger array:
+    ``training.AdamState`` keeps every parameter's ``value`` and ``grad`` as
+    views of one flat buffer each, and copies in either attribute when it
+    has been rebound to a new array. Every other node's ``grad`` is ``None``:
     intermediates pass their gradient through to their parents. A node that
     does not require grad keeps no parents and no backward closure. Graphs
     are acyclic by construction (operations only ever link to previously
@@ -512,14 +523,19 @@ def conv(h, table, weight, bias, state: "BatchNormState", mode: str, arena=None)
     xhat = np.matmul(agg, weight.value, out=out)
     xhat += bias.value
     if mode == "train":
-        mu = xhat.mean(axis=0)
-        var = xhat.var(axis=0)  # biased
+        # ndarray.mean and .var in one pass over the centred xhat: var's own
+        # mean is this sum / n, and its squares are those of xhat - mu
+        mu = np.add.reduce(xhat, axis=0)
+        mu /= n
+        xhat -= mu
+        var = np.add.reduce(np.square(xhat), axis=0)  # biased
+        var /= n
         state.running_mean = (1.0 - state.momentum) * state.running_mean + state.momentum * mu
         state.running_var = (1.0 - state.momentum) * state.running_var + state.momentum * var
     else:
         mu, var = state.running_mean, state.running_var
+        xhat -= mu
     inv = 1.0 / np.sqrt(var + state.epsilon)
-    xhat -= mu
     xhat *= inv
     # The tape keeps xhat for backward; without it, xhat becomes the output.
     out = xhat * gamma.value if taped else np.multiply(xhat, gamma.value, out=xhat)
@@ -709,8 +725,8 @@ def backward(root: Node) -> None:
     """Populate gradients of all trainable leaves reachable from a scalar root.
 
     Each call adds this pass's derivatives into the leaves' persistent
-    ``grad`` buffers, so repeated calls without :meth:`Node.zero_grad`
-    accumulate. Intermediate nodes keep ``grad = None``.
+    ``grad`` buffers, in place, so repeated calls without
+    :meth:`Node.zero_grad` accumulate. Intermediate nodes keep ``grad = None``.
     """
     if root.value.shape != ():
         raise ShapeError(f"backward requires a scalar root, got shape {root.value.shape}")
@@ -739,7 +755,7 @@ def backward(root: Node) -> None:
         if g is None:
             continue
         if not node._parents:
-            node.grad = node.grad + g
+            node.grad += g  # in place: a parameter's grad may be a view of a flat buffer
             continue
         for p, pg in zip(node._parents, node._backward(g)):
             if pg is None or not p.requires_grad:

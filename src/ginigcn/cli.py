@@ -32,6 +32,7 @@ from .attribution import (
 from .gini import GiniConfig, gini, layer_gini_blocks, regularized_loss
 from .model import (
     ModelConfig,
+    fingerprint,
     init_model,
     load_checkpoint,
     model_from_document,
@@ -40,7 +41,7 @@ from .model import (
 )
 from .molecules import load_dataset, parse_graph_file, format_graph_file
 from .toydata import ToySpec, generate_graphs
-from .training import TrainConfig, TrainingDivergence, cross_validate, train
+from .training import TrainConfig, TrainingDivergence, cross_validate, multitask_loss, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -226,30 +227,32 @@ def _selftest_checks():
     )
 
     def _grad_checks():
+        # each op scored by the masked squared error against a fixed target,
+        # so the loss node is checked through every op
         rng = np.random.default_rng(7)
         x = rng.normal(size=(4, 3)) + np.where(rng.normal(size=(4, 3)) > 0, 0.5, -0.5)
-        err = ad.grad_check(lambda n: ad.reduce(ad.tanh(n), "sum"), x)
-        if err > 1e-6:
-            return False
         w = rng.normal(size=(3, 2))
         b = rng.normal(size=2)
-        err = ad.grad_check(
-            lambda n: ad.reduce(ad.linear(n, ad.constant(w), ad.constant(b)), "sum"), x
-        )
-        if err > 1e-6:
-            return False
         # path 0-1-2 plus a lone atom 3, as one molecule of three and one of one;
         # index 4 (the row count) is padding
         neighbors = [[0, 1, 4], [0, 1, 2], [1, 2, 4], [3, 4, 4]]
         atoms = [[0, 1, 2], [3, 4, 4]]
-        ops = [lambda n: ad.neighbor_sum(n, neighbors),
-               lambda n: ad.segment_aggregate(n, atoms, "mean"),
-               lambda n: ad.segment_aggregate(n, atoms, "max"),
+        ops = [lambda n: n,
+               lambda n: ad.linear(n, ad.constant(w), ad.constant(b)),
+               lambda n: ad.neighbor_sum(n, neighbors),
+               lambda n: fingerprint(n, atoms),
                # one train-mode convolution; its batch statistics move with the input
                lambda n: ad.conv(n, neighbors, ad.constant(w), ad.constant(b),
                                  ad.BatchNormState(2), "train")]
-        return all(ad.grad_check(lambda n: ad.reduce(ad.tanh(op(n)), "sum"), x) < 1e-6
-                   for op in ops)
+
+        def error(op):
+            shape = op(ad.constant(x)).shape
+            target = rng.normal(size=shape)
+            mask = np.ones(shape)
+            mask[0, -1] = 0.0
+            return ad.grad_check(lambda n: multitask_loss(op(n), target, mask), x)
+
+        return all(error(op) < 1e-6 for op in ops)
 
     yield "primitive gradients", _grad_checks
 

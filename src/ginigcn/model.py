@@ -123,12 +123,53 @@ def fingerprint(node_reps: ad.Node, atoms: np.ndarray) -> ad.Node:
     """Per-molecule [tanh(mean of reps) || tanh(max of reps)].
 
     Row k of the ``atoms`` table lists molecule k's atom rows, padded with
-    the atom count. tanh is applied after aggregation, so output-layer terms
-    w * tanh(f(x)) sum exactly to the prediction minus the bias.
+    the atom count; molecules must be nonempty and disjoint. tanh is applied
+    after aggregation, so output-layer terms w * tanh(f(x)) sum exactly to
+    the prediction minus the bias.
+
+    One tape node with the bits of ``concat_cols(tanh(segment_aggregate(reps,
+    atoms, "mean")), tanh(segment_aggregate(reps, atoms, "max")))``, forward
+    and backward. One gather, padded with -inf, serves both aggregations:
+    the max reads it first, then its padding is zeroed for the mean. tanh
+    runs once over both halves of the output. Backward sends the mean share
+    to each row through a per-row molecule index, and the max share to the
+    lowest row that holds the maximum.
     """
-    mean_part = ad.tanh(ad.segment_aggregate(node_reps, atoms, "mean"))
-    max_part = ad.tanh(ad.segment_aggregate(node_reps, atoms, "max"))
-    return ad.concat_cols(mean_part, max_part)
+    table = np.asarray(atoms, dtype=np.intp)
+    reps = node_reps.value
+    if reps.ndim != 2 or table.ndim != 2:
+        raise ad.ShapeError(f"fingerprint needs 2-d reps and atom table, got {reps.shape}, "
+                            f"{table.shape}")
+    (n, d), m = reps.shape, len(table)
+    real = table < n
+    counts = real.sum(axis=1, keepdims=True)
+    if not counts.all():
+        raise ValueError("fingerprint: empty molecule")
+    vals = ad._pad(reps, -np.inf).take(table, axis=0)  # (molecules, width, d)
+    top = vals.max(axis=1)
+    vals[~real] = 0.0
+    out = np.empty((m, 2 * d))
+    np.divide(vals.sum(axis=1), counts, out=out[:, :d])
+    out[:, d:] = top
+    np.tanh(out, out=out)
+    if not (node_reps.requires_grad and ad._recording.on):
+        return ad.Node(out)
+
+    def bw(g):
+        g = g * (1.0 - out * out)
+        shares = np.empty((m + 1, d))  # per molecule, and 0 for rows no molecule lists
+        np.divide(g[:, :d], counts, out=shares[:m])
+        shares[m] = 0.0
+        molecule = np.full(n + 1, m)
+        molecule[table] = np.arange(m)[:, None]
+        molecule[n] = m
+        gx = shares.take(molecule, axis=0)
+        # lowest row holding the maximum; padding slots read n
+        rows = np.where(vals == top[:, None, :], table[:, :, None], n).min(axis=1)
+        gx[rows, np.arange(d)] += g[:, d:]
+        return (gx[:n],)
+
+    return ad.Node(out, True, (node_reps,), bw)
 
 
 def _atom_table(offsets: np.ndarray) -> np.ndarray:
@@ -246,6 +287,12 @@ class Model:
         return states
 
     def zero_grads(self) -> None:
+        """Give every parameter a new zero grad (:meth:`autodiff.Node.zero_grad`).
+
+        :func:`training.train` does not call it: it zeroes its ``AdamState``'s
+        flat grad buffer with one fill, and the ``AdamState`` copies in any
+        grad rebound in between, as this method rebinds them.
+        """
         for node in self.parameters():
             node.zero_grad()
 

@@ -165,15 +165,18 @@ class History:
 
 
 def target_matrix(graphs: list[MolecularGraph], names: list[str]):
-    """Dense (N, T) target matrix plus a 0/1 observation mask."""
-    y = np.zeros((len(graphs), len(names)))
-    mask = np.zeros((len(graphs), len(names)))
-    for r, g in enumerate(graphs):
-        for c, name in enumerate(names):
-            if name in g.targets:
-                y[r, c] = g.targets[name]
-                mask[r, c] = 1.0
-    return y, mask
+    """Dense (N, T) target matrix plus a 0/1 observation mask.
+
+    Missing entries read 0 in both. One pass over the graphs reads each
+    molecule's row with NaN for a missing name: targets are finite numbers
+    (``MolecularGraph`` checks them), so NaN marks exactly the missing ones.
+    """
+    nan = np.nan
+    y = np.array([g.targets.get(name, nan) for g in graphs for name in names],
+                 dtype=np.float64).reshape(len(graphs), len(names))
+    observed = y == y
+    y[~observed] = 0.0
+    return y, observed.astype(np.float64)
 
 
 def standardize_targets(y: np.ndarray, mask: np.ndarray, names: list[str]):
@@ -197,7 +200,12 @@ def standardize_targets(y: np.ndarray, mask: np.ndarray, names: list[str]):
 
 
 def multitask_loss(pred: ad.Node, target: np.ndarray, mask: np.ndarray) -> ad.Node:
-    """Mean squared error over observed entries only."""
+    """Mean squared error over observed entries only: sum(mask * (pred - target)^2) / sum(mask).
+
+    One tape node with the IEEE operations, in order, of the composite
+    ``div(reduce(mul(mul(diff, diff), mask), "sum"), count)`` with
+    ``diff = sub(pred, target)``, forward and backward, so the same bits.
+    """
     if pred.value.shape != target.shape or target.shape != mask.shape:
         raise ad.ShapeError(
             f"loss shapes disagree: pred {pred.value.shape}, target {target.shape}, "
@@ -206,33 +214,97 @@ def multitask_loss(pred: ad.Node, target: np.ndarray, mask: np.ndarray) -> ad.No
     count = float(mask.sum())
     if count == 0:
         raise ValueError("all target entries in the batch are masked out")
-    diff = ad.sub(pred, ad.constant(target))
-    masked_sq = ad.mul(ad.mul(diff, diff), ad.constant(mask))
-    return ad.div(ad.reduce(masked_sq, "sum"), count)
+    mask = np.asarray(mask, dtype=np.float64)
+    diff = pred.value - np.asarray(target, dtype=np.float64)
+    masked_sq = diff * diff
+    masked_sq *= mask
+
+    def bw(g):
+        # reduce's full array of g / count, then mul(_, mask), then the two
+        # g * diff of mul(diff, diff) added, then sub's pass-through
+        gd = np.full(diff.shape, float(g / count))
+        gd *= mask
+        gd *= diff
+        gd += gd
+        return (gd,)
+
+    return ad.Node(masked_sq.sum() / count, pred.requires_grad, (pred,), bw)
 
 
 class AdamState:
-    """First/second moment buffers and the shared step counter."""
+    """Flat parameter, gradient and moment buffers, and the shared step counter.
+
+    ``values`` and ``grads`` hold every parameter's value and grad, in
+    ``params`` order; each parameter's ``value`` and ``grad`` become views
+    of them, so one vector op updates or zeroes them all. ``m`` and ``v``
+    are the first and second moments, one float64 entry per value. A
+    parameter whose ``value`` or ``grad`` is later rebound to another array
+    keeps working: :meth:`bind` copies it in and restores the view.
+    """
 
     def __init__(self, params: list[ad.Node]):
-        self.m = [np.zeros_like(p.value) for p in params]
-        self.v = [np.zeros_like(p.value) for p in params]
+        size = sum(p.value.size for p in params)
+        self.values, self.grads = np.empty(size), np.empty(size)
+        self.m, self.v = np.zeros(size), np.zeros(size)
+        self._scratch = np.empty((2, size))
+        self._views = []
+        start = 0
+        for p in params:
+            stop = start + p.value.size
+            self._views.append((p, self.values[start:stop].reshape(p.value.shape),
+                                self.grads[start:stop].reshape(p.value.shape)))
+            start = stop
         self.t = 0
+        self.bind()
+
+    def bind(self) -> None:
+        """Copy in every ``value`` or ``grad`` rebound since, and point it back at its view."""
+        for p, value, grad in self._views:
+            if p.value is not value:
+                value[...] = p.value
+                p.value = value
+            if p.grad is not grad:
+                grad[...] = p.grad
+                p.grad = grad
+
+    def zero_grads(self) -> None:
+        """Zero every parameter's grad with one fill of ``grads``."""
+        for p, _, grad in self._views:
+            p.grad = grad
+        self.grads.fill(0.0)
 
 
 def adam_step(params: list[ad.Node], state: AdamState, cfg: TrainConfig) -> None:
-    """One bias-corrected Adam update, in place, reading each node's grad."""
+    """One bias-corrected Adam update of ``state.values``, in place, from ``state.grads``.
+
+    ``params`` are the nodes ``state`` was built over, in the same order;
+    their values and grads are bound first (:meth:`AdamState.bind`). The
+    update is a few vector ops over the flat buffers, elementwise the
+    per-parameter form ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g``,
+    ``value -= lr (m / c1) / (sqrt(v / c2) + eps)``, so the same bits.
+    """
+    if len(params) != len(state._views) or any(
+            p is not q for p, (q, _, _) in zip(params, state._views)):
+        raise ValueError("adam_step: params are not the nodes the AdamState was built over")
+    state.bind()
     state.t += 1
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
-    for i, p in enumerate(params):
-        g = p.grad
-        state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1.0 - b2) * g * g
-        m_hat = state.m[i] / c1
-        v_hat = state.v[i] / c2
-        p.value = p.value - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_epsilon)
+    g, m, v, (step, denom) = state.grads, state.m, state.v, state._scratch
+    m *= b1
+    m += np.multiply(g, 1.0 - b1, out=step)
+    v *= b2
+    np.multiply(g, 1.0 - b2, out=step)
+    step *= g
+    v += step
+    np.divide(v, c2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += cfg.adam_epsilon
+    np.divide(m, c1, out=step)
+    step *= cfg.learning_rate
+    step /= denom
+    state.values -= step
 
 
 def _epoch_batches(n: int, batch_size: int, seed: int, epoch: int) -> list[np.ndarray]:
@@ -272,7 +344,7 @@ def train(
     for epoch in range(cfg.epochs):
         report = None
         for b, batch_idx in enumerate(_epoch_batches(len(graphs), cfg.batch_size, cfg.seed, epoch)):
-            model.zero_grads()
+            opt.zero_grads()
             fwd = model.forward(*packed.take(batch_idx), mode="train")
             raw = multitask_loss(fwd.output, z[batch_idx], mask[batch_idx])
             if model.is_explainable:
@@ -299,12 +371,16 @@ def train(
 def evaluate_mae(model: Model, stats: TargetStats, graphs: list[MolecularGraph]) -> dict[str, float]:
     """Per-target mean absolute error in original units (eval mode).
 
-    Unobserved entries are skipped; a target with no observed entries at all
-    is an error.
+    ``stats`` must name the model's targets in the model's order. Unobserved
+    entries are skipped; a target with no observed entries at all is an
+    error.
     """
     if not graphs:
         raise ValueError("empty evaluation set")
     names = model.config.targets
+    if list(stats.names) != list(names):
+        raise ValueError(f"target stats name {list(stats.names)}, but the model predicts "
+                         f"{list(names)}")
     y, mask = target_matrix(graphs, names)
     pred = stats.inverse(model.predict(graphs))
     maes = {}

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from ginigcn import autodiff as ad
+from ginigcn.model import fingerprint
+from ginigcn.training import multitask_loss
 
 
 def kink_free(rng, shape, margin=1e-3):
@@ -177,6 +179,16 @@ def test_backward_accumulates_on_repeat():
     assert np.array_equal(x.grad, [4.0, 4.0])
 
 
+def test_backward_adds_into_a_views_grad_in_place():
+    # a parameter whose grad is a view of a flat buffer keeps it
+    values, grads = np.arange(6.0), np.full(6, 0.5)
+    x = ad.parameter(values[2:5])
+    x.grad = grads[2:5]
+    ad.backward(ad.reduce(ad.mul(x, 2.0), "sum"))
+    assert np.shares_memory(x.grad, grads)
+    assert np.array_equal(grads, [0.5, 0.5, 2.5, 2.5, 2.5, 0.5])
+
+
 def test_only_trainable_leaves_hold_gradients():
     x = ad.parameter([1.0, -2.0])
     c = ad.constant([3.0, 4.0])
@@ -299,6 +311,27 @@ def test_conv_matches_the_four_node_composite_bit_for_bit(mode, n):
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
     assert np.abs(fused["h"]).max() > 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 23, 300])
+def test_conv_running_statistics_match_ndarray_var(n):
+    # the one-pass batch statistics against ndarray.mean and ndarray.var of
+    # the pre-normalization values, with a constant column and a large offset
+    rng = np.random.default_rng(n)
+    v = conv_operands(rng, n)
+    v["weight"][:, 0] = 0.0
+    v["bias"][1] = 1e6
+    table = random_neighbor_table(rng, n)
+    pre = ad.linear(ad.neighbor_sum(ad.constant(v["h"]), table), ad.constant(v["weight"]),
+                    ad.constant(v["bias"])).value
+    state = conv_state(v)
+    ad.conv(ad.constant(v["h"]), table, ad.constant(v["weight"]), ad.constant(v["bias"]),
+            state, "train")
+    momentum = state.momentum
+    want_mean = (1.0 - momentum) * v["mean"] + momentum * pre.mean(axis=0)
+    want_var = (1.0 - momentum) * v["var"] + momentum * pre.var(axis=0)
+    assert state.running_mean.tobytes() == want_mean.tobytes()
+    assert state.running_var.tobytes() == want_var.tobytes()
 
 
 def test_conv_chain_in_one_arena_matches_the_composite():
@@ -594,6 +627,30 @@ def conv_case(rng, mode, wrt):
 for _mode, _wrt in [("train", "h"), ("train", "weight"), ("train", "gamma"), ("train", "beta"),
                     ("eval", "h"), ("eval", "bias")]:
     case(f"conv_{_mode}_{_wrt}")(lambda rng, mode=_mode, wrt=_wrt: conv_case(rng, mode, wrt))
+
+
+@case("multitask_loss")
+def _f_multitask_loss(rng):
+    target = rng.normal(size=(4, 3))
+    mask = (rng.random((4, 3)) < 0.7).astype(float)
+    mask[0, 0] = 1.0
+    return lambda x: multitask_loss(x, target, mask), rng.normal(size=(4, 3))
+
+
+@case("fingerprint")
+def _f_fingerprint(rng):
+    # molecules of three, one and two atoms, listed in ascending rows; 6 = padding
+    atoms = [[0, 2, 5], [3, 6, 6], [1, 4, 6]]
+    scale = rng.normal(size=(3, 4))
+
+    def sample():
+        # no two rows of a molecule within 1e-3 in any column: no max tie in reach
+        while True:
+            x = rng.normal(size=(6, 2))
+            if min(np.abs(x[i] - x[j]).min() for i, j in [(0, 2), (0, 5), (2, 5), (1, 4)]) > 1e-3:
+                return x
+
+    return lambda x: ad.reduce(ad.mul(fingerprint(x, atoms), ad.constant(scale)), "sum"), sample()
 
 
 # The batch-norm cases weight the output by a fixed random matrix before

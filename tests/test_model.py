@@ -382,6 +382,63 @@ def test_fingerprint_permutation_invariant():
     assert np.allclose(a.value, b.value)
 
 
+def composite_fingerprint(reps, atoms):
+    """The five nodes that fingerprint replaces."""
+    return ad.concat_cols(ad.tanh(ad.segment_aggregate(reps, atoms, "mean")),
+                          ad.tanh(ad.segment_aggregate(reps, atoms, "max")))
+
+
+def fingerprint_inputs():
+    """(reps, atoms, upstream) triples: post-ReLU reps with tied maxima and
+    all-zero columns over packed toy batches holding one-atom molecules, and
+    hand tables with padded rows, rows no molecule lists and negative reps."""
+    rng = np.random.default_rng(4)
+    graphs = generate_graphs(ToySpec(num_molecules=60, seed=9))
+    graphs[3] = parse_smiles_subset("C")
+    graphs[40] = parse_smiles_subset("O")
+    cases = []
+    for idx in (np.arange(60), rng.permutation(60)[:25], [3], [3, 40]):
+        x, _, atoms = PackedDataset(graphs).take(idx)
+        reps = np.fmax(rng.normal(size=(len(x), 6)), 0.0) + 0.0
+        reps[:, 2] = 0.0                      # a dead column: every atom ties at 0
+        reps[::3, 4] = reps[:, 4].max()       # tied maxima across molecules
+        cases.append((reps, atoms))
+    cases.append((rng.normal(size=(5, 3)), np.array([[0, 2, 5], [1, 5, 5], [3, 4, 5]])))
+    cases.append((-np.abs(rng.normal(size=(6, 2))), np.array([[0, 1, 6], [2, 6, 6], [3, 4, 5]])))
+    cases.append((rng.normal(size=(4, 2)), np.array([[1, 4], [3, 4]])))  # rows 0 and 2 unlisted
+    triples = []
+    for reps, atoms in cases:
+        upstream = rng.normal(size=(len(atoms), 2 * reps.shape[1]))
+        upstream[::2, ::3] = -0.0  # signed zeros in the gradient
+        triples.append((reps, atoms, upstream))
+    return triples
+
+
+def test_fingerprint_matches_the_composite_bit_for_bit():
+    for reps, atoms, upstream in fingerprint_inputs():
+        results = []
+        for op in (composite_fingerprint, fingerprint):
+            h = ad.parameter(reps.copy())
+            out = op(h, atoms)
+            ad.backward(ad.reduce(ad.mul(out, ad.constant(upstream)), "sum"))
+            results.append((out.value, h.grad))
+        (want, want_grad), (got, got_grad) = results
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert got_grad.tobytes() == want_grad.tobytes()
+        assert fingerprint(ad.constant(reps), atoms).value.tobytes() == want.tobytes()
+
+
+def test_fingerprint_rejects_an_empty_molecule_and_bad_shapes():
+    reps = ad.constant(np.ones((3, 2)))
+    with pytest.raises(ValueError, match="empty molecule"):
+        fingerprint(reps, [[0, 1, 2], [3, 3, 3]])
+    with pytest.raises(ad.ShapeError):
+        fingerprint(reps, [0, 1, 2])
+    with pytest.raises(ad.ShapeError):
+        fingerprint(ad.constant(np.ones(3)), [[0, 1, 2]])
+
+
 # ----------------------------------------------------------------- predict
 
 
@@ -583,11 +640,11 @@ def test_eval_pass_on_another_thread_leaves_this_threads_tape_on(monkeypatch):
     graphs = generate_graphs(ToySpec(num_molecules=4, seed=1))
     paused, resume, evals = threading.Event(), threading.Event(), []
     worker = threading.Thread(target=lambda: evals.append(model.forward_batch(graphs)))
-    tanh = ad.tanh
+    linear = ad.linear
 
-    def interleaved_tanh(x):
-        # fingerprint's first tanh: the training pass starts the worker and
-        # goes on once the worker's eval pass has stopped here
+    def interleaved_linear(*args):
+        # the output layer: the training pass starts the worker and goes on
+        # once the worker's eval pass has stopped here
         if threading.current_thread() is worker:
             if not resume.is_set():
                 paused.set()
@@ -595,9 +652,9 @@ def test_eval_pass_on_another_thread_leaves_this_threads_tape_on(monkeypatch):
         elif not paused.is_set():
             worker.start()
             assert paused.wait(timeout=10)
-        return tanh(x)
+        return linear(*args)
 
-    monkeypatch.setattr(ad, "tanh", interleaved_tanh)
+    monkeypatch.setattr(ad, "linear", interleaved_linear)
     try:
         out = model.forward_batch(graphs, mode="train").output
     finally:

@@ -123,7 +123,101 @@ def test_loss_gradient():
     assert np.allclose(pred.grad, [[-1.0, -3.0]])  # 2*(pred-target)/count
 
 
+def composite_loss(pred, target, mask):
+    """The five nodes that multitask_loss replaces."""
+    diff = ad.sub(pred, ad.constant(target))
+    masked_sq = ad.mul(ad.mul(diff, diff), ad.constant(mask))
+    return ad.div(ad.reduce(masked_sq, "sum"), float(mask.sum()))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (25, 3), (7, 2)])
+def test_loss_node_matches_the_composite_bit_for_bit(shape):
+    rng = np.random.default_rng(shape[0])
+    target = rng.normal(size=shape)
+    mask = (rng.random(shape) < 0.6).astype(float)
+    mask.flat[0] = 1.0
+    pred0 = target + rng.normal(size=shape)
+    pred0.flat[-1] = target.flat[-1]  # an exact fit
+    for scale in (1.0, 0.37):  # the root itself, and a loss scaled as the regularizer does
+        results = []
+        for loss_fn in (composite_loss, multitask_loss):
+            pred = ad.parameter(pred0.copy())
+            loss = loss_fn(pred, target, mask)
+            ad.backward(ad.mul(loss, scale))
+            results.append((loss.value, pred.grad))
+        (want, want_grad), (got, got_grad) = results
+        assert got.shape == want.shape == () and got.tobytes() == want.tobytes()
+        assert got_grad.tobytes() == want_grad.tobytes()
+        assert np.all(got_grad[mask == 0.0] == 0.0)
+
+
 # -------------------------------------------------------------------- adam
+
+
+class ReferenceAdam:
+    """Per-parameter Adam: each moment and value a new array every step."""
+
+    def __init__(self, values):
+        self.values = [v.copy() for v in values]
+        self.m = [np.zeros_like(v) for v in values]
+        self.v = [np.zeros_like(v) for v in values]
+        self.t = 0
+
+    def step(self, grads, cfg):
+        self.t += 1
+        b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+        c1 = 1.0 - b1 ** self.t
+        c2 = 1.0 - b2 ** self.t
+        for i, g in enumerate(grads):
+            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
+            self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g
+            m_hat = self.m[i] / c1
+            v_hat = self.v[i] / c2
+            self.values[i] = self.values[i] - cfg.learning_rate * m_hat / (
+                np.sqrt(v_hat) + cfg.adam_epsilon)
+
+
+def test_flat_adam_matches_a_per_parameter_reference_over_20_steps():
+    rng = np.random.default_rng(3)
+    shapes = [(4, 3), (3,), (1,), (2, 5), (5,)]
+    params = [ad.parameter(rng.normal(size=s)) for s in shapes]
+    reference = ReferenceAdam([p.value for p in params])
+    cfg = toy_train_config(learning_rate=0.01)
+    state = AdamState(params)
+    for step in range(20):
+        state.zero_grads()
+        grads = [rng.normal(size=s) * 10.0 ** rng.integers(-6, 3) for s in shapes]
+        for p, g in zip(params, grads):
+            p.grad += g
+        adam_step(params, state, cfg)
+        reference.step(grads, cfg)
+        for p, want in zip(params, reference.values):
+            assert p.value.tobytes() == want.tobytes(), step
+    assert state.m.tobytes() == np.concatenate([m.ravel() for m in reference.m]).tobytes()
+    assert state.v.tobytes() == np.concatenate([v.ravel() for v in reference.v]).tobytes()
+
+
+def test_adam_honours_a_rebound_value_or_grad():
+    cfg = toy_train_config(learning_rate=0.01)
+    p, q = ad.parameter([1.0, -2.0]), ad.parameter([[0.5], [3.0]])
+    state = AdamState([p, q])
+    assert np.shares_memory(p.value, state.values) and np.shares_memory(q.grad, state.grads)
+    reference = ReferenceAdam([np.array([4.0, 5.0]), q.value])
+    p.value = np.array([4.0, 5.0])        # rebound value
+    q.grad = np.array([[0.25], [-1.0]])   # rebound grad
+    adam_step([p, q], state, cfg)
+    reference.step([np.zeros(2), np.array([[0.25], [-1.0]])], cfg)
+    assert p.value.tobytes() == reference.values[0].tobytes()
+    assert q.value.tobytes() == reference.values[1].tobytes()
+    assert np.shares_memory(p.value, state.values) and np.shares_memory(q.grad, state.grads)
+    # zero_grads drops a grad rebound after the step
+    p.grad = np.array([7.0, 7.0])
+    state.zero_grads()
+    assert np.shares_memory(p.grad, state.grads) and not state.grads.any()
+    with pytest.raises(ValueError, match="params"):
+        adam_step([q, p], state, cfg)
+
+
 
 
 def test_adam_zero_gradient_no_move():
@@ -330,6 +424,42 @@ def test_constant_predictor_mae_equals_std():
     stats = TargetStats(names=["size"], mean=np.array([2.0]), std=np.array([1.0]))
     maes = evaluate_mae(Mean, stats, graphs)
     assert maes["size"] == pytest.approx(1.0)
+
+
+def test_evaluate_rejects_stats_for_other_targets():
+    graphs = generate_graphs(ToySpec(num_molecules=6, seed=4))
+    model = init_model(ModelConfig(targets=["size", "oxygen_count"], conv_hidden=2,
+                                   num_conv_layers=1))
+    for names in (["oxygen_count", "size"], ["size"], ["size", "oxygen_count", "branch_count"]):
+        stats = TargetStats(names=names, mean=np.zeros(len(names)), std=np.ones(len(names)))
+        with pytest.raises(ValueError, match=r"\['size', 'oxygen_count'\]") as info:
+            evaluate_mae(model, stats, graphs)
+        assert str(names) in str(info.value)
+
+
+def test_target_matrix_matches_a_per_cell_reference():
+    graphs = generate_graphs(ToySpec(num_molecules=30, seed=5))
+    for k, g in enumerate(graphs):
+        if k % 3 == 0:
+            del g.targets["size"]
+        if k % 4 == 1:
+            g.targets.clear()
+    names = ["oxygen_count", "absent", "size", "branch_count"]
+    want_y, want_mask = np.zeros((30, 4)), np.zeros((30, 4))
+    for r, g in enumerate(graphs):
+        for c, name in enumerate(names):
+            if name in g.targets:
+                want_y[r, c] = g.targets[name]
+                want_mask[r, c] = 1.0
+    assert want_mask.any() and not want_mask.all()
+    y, mask = target_matrix(graphs, names)
+    for got, want in ((y, want_y), (mask, want_mask)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    y, mask = target_matrix(graphs, [])
+    assert y.shape == mask.shape == (30, 0)
+    y, mask = target_matrix([], names)
+    assert y.shape == mask.shape == (0, 4)
 
 
 def test_evaluate_empty_set_rejected():
