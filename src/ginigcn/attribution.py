@@ -109,15 +109,17 @@ def atom_maps(model: Model, graphs: list[MolecularGraph],
     phi = fwd.fingerprint.value                             # (molecules, 2H)
     w, b = model.out_weight.value, model.out_bias.value
     h = model.config.conv_hidden
-    weights = w[:, cols].T                                  # (targets, 2H)
+    weights = w.T[cols]                                     # (targets, 2H)
     values = phi[:, None, :] * weights                      # (molecules, targets, 2H)
     order = (-np.abs(values)).argsort(axis=2, kind="stable")
-    ranked_w = weights[np.arange(len(cols))[:, None], order]
-    ranked_phi = phi[np.arange(len(graphs))[:, None, None], order]
+    # Flat positions of the ranked entries in phi and in weights, one take each.
+    ranked_phi = phi.take(order + np.arange(0, phi.size, 2 * h)[:, None, None])
+    ranked_w = weights.take(order + np.arange(0, weights.size, 2 * h)[:, None])
     # the same products as values, in ranked order
     ranked = (ranked_w.tolist(), ranked_phi.tolist(), (ranked_phi * ranked_w).tolist())
-    blocks = (order >= h).tolist()
     order = order.tolist()
+    block_of = [BLOCKS[0]] * h + [BLOCKS[1]] * h
+    bias = b.tolist()
     maps, start = [], 0
     for k, g in enumerate(graphs):
         n = g.num_atoms
@@ -126,14 +128,14 @@ def atom_maps(model: Model, graphs: list[MolecularGraph],
         mean = np.add.reduce(x) / n                         # x.mean(axis=0)
         share = np.divide(x, n * mean, out=np.zeros(x.shape), where=mean > 0)
         winners = x.argmax(axis=0)                          # first occurrence = lowest index
-        pred = (phi[k:k + 1] @ w + b)[0]                    # as a one-molecule forward pass
+        pred = (phi[k:k + 1] @ w + b)[0].tolist()           # as a one-molecule forward pass
         row = []
         for t, j in enumerate(cols):
             scores = share @ values[k, t, :h]
             np.add.at(scores, winners, values[k, t, h:])
-            terms = list(map(AttributionTerm, order[k][t], map(BLOCKS.__getitem__, blocks[k][t]),
+            terms = list(map(AttributionTerm, order[k][t], map(block_of.__getitem__, order[k][t]),
                              *(r[k][t] for r in ranked)))
-            row.append(AttributionMap(g.id, targets[t], float(pred[j]), float(b[j]), terms,
+            row.append(AttributionMap(g.id, targets[t], pred[j], bias[j], terms,
                                       scores.tolist()))
         maps.append(row)
     return maps
@@ -177,7 +179,10 @@ def top_representations(model: Model, target: str, mass_fraction: float = 0.9) -
     """Smallest set of representation indices holding mass_fraction of |w| mass.
 
     Indices are ordered by |w_ij| descending, ties toward the lower index;
-    the returned sets are nested as mass_fraction grows.
+    the returned sets are nested as mass_fraction grows. The set is computed
+    afresh on every call, not kept: the output weights change in place, as
+    each Adam step updates the flat buffer they view and as tests edit them,
+    so a kept set could go stale unseen. The sort costs a few µs.
     """
     (j,) = _columns(model, [target])
     count, order = _by_magnitude(model.out_weight.value[:, j], mass_fraction)

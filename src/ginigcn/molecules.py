@@ -83,6 +83,14 @@ class MolecularGraph:
     ``11 + min(implicit_hydrogens, 5)`` and the aromatic flag, and
     ``bond_ends``, the ``i, j`` of each bond, ``i < j``. They are built once,
     so the atoms and bonds of a built graph are not to be changed in place.
+
+    The same rule lets a graph keep its one-molecule pack. ``kept_pack`` is
+    None until the first forward pass over this graph alone; that pass
+    stores its node features, neighbour table and atom table there, as
+    read-only arrays, and later one-molecule passes over the same object
+    reuse them (``model._packed``). It is not a field, so ``==``, ``repr``,
+    ``dataclasses.asdict`` and ``dataclasses.replace`` ignore it, and a
+    graph rebuilt with ``replace`` or parsed again packs afresh.
     """
 
     id: str
@@ -90,6 +98,7 @@ class MolecularGraph:
     bonds: list[tuple[int, int, object]] = field(default_factory=list)
     targets: dict[str, float] = field(default_factory=dict)
     fukui: list[tuple[float, float]] | None = None
+    kept_pack = None  # not a field: no annotation
 
     def __post_init__(self):
         # Each check raises a bare ValueError; the handler below names the molecule once.

@@ -320,8 +320,9 @@ def train(
 ):
     """Minimize the regularized loss over seeded shuffled mini-batches.
 
-    ``graphs`` are featurized once, before the first epoch, so a molecule
-    that cannot be featurized raises MoleculeError before any weight moves.
+    ``graphs`` and ``val_graphs`` are packed once each, before the first
+    epoch, so a molecule that cannot be packed raises MoleculeError before
+    any weight moves; every epoch's validation reads the one pack.
     Target statistics are fitted on ``graphs`` (the training fold). Returns
     ``(model, stats, history)``; the model is mutated in place. Gini
     regularization (m > 0) requires the explainable variant.
@@ -334,6 +335,7 @@ def train(
     if cfg.gini.m > 0 and not model.is_explainable:
         raise ValueError("Gini regularization (m > 0) requires the explainable variant")
     packed = PackedDataset(graphs)
+    val = PackedDataset(val_graphs) if val_graphs else None
     names = model.config.targets
     y, mask = target_matrix(graphs, names)
     stats, z = standardize_targets(y, mask, names)
@@ -363,17 +365,18 @@ def train(
                 raise TrainingDivergence(epoch + 1, b + 1, float(loss.value), history)
             ad.backward(loss)
             adam_step(params, opt, cfg)
-        val = evaluate_mae(model, stats, val_graphs) if val_graphs else {}
-        history.append(report, val)
+        history.append(report, evaluate_mae(model, stats, val) if val else {})
     return model, stats, history
 
 
-def evaluate_mae(model: Model, stats: TargetStats, graphs: list[MolecularGraph]) -> dict[str, float]:
+def evaluate_mae(model: Model, stats: TargetStats,
+                 graphs: list[MolecularGraph] | PackedDataset) -> dict[str, float]:
     """Per-target mean absolute error in original units (eval mode).
 
     ``stats`` must name the model's targets in the model's order. Unobserved
     entries are skipped; a target with no observed entries at all is an
-    error.
+    error. ``graphs`` may be a :class:`PackedDataset`, as :func:`train`
+    passes its validation set (see :meth:`Model.predict`).
     """
     if not graphs:
         raise ValueError("empty evaluation set")
@@ -381,7 +384,8 @@ def evaluate_mae(model: Model, stats: TargetStats, graphs: list[MolecularGraph])
     if list(stats.names) != list(names):
         raise ValueError(f"target stats name {list(stats.names)}, but the model predicts "
                          f"{list(names)}")
-    y, mask = target_matrix(graphs, names)
+    listed = graphs.graphs if isinstance(graphs, PackedDataset) else graphs
+    y, mask = target_matrix(listed, names)
     pred = stats.inverse(model.predict(graphs))
     maes = {}
     for c, name in enumerate(names):

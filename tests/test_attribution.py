@@ -169,6 +169,55 @@ def test_atom_maps_match_one_molecule_passes():
                 assert same, f"{g.id} / {target}, tied weights: {tied}"
 
 
+@pytest.mark.parametrize("hidden, targets", [
+    (1, ["a", "b"]),   # two terms per map
+    (5, ["b"]),        # one target
+    (5, ["b", "a"]),   # targets in reverse order
+    (1, ["b", "a"]),
+])
+def test_flat_index_decomposition_matches_one_molecule_passes(hidden, targets):
+    # One-atom molecules among toy ones; then zeroed weight rows and equal
+    # magnitudes, which tie |value| across terms.
+    model = init_model(ModelConfig(targets=["a", "b"], conv_hidden=hidden, num_conv_layers=2,
+                                   seed=7))
+    graphs = generate_graphs(ToySpec(num_molecules=12, seed=23))
+    graphs[3:3] = [parse_smiles_subset("C"), parse_smiles_subset("O")]
+    graphs.append(parse_smiles_subset("F"))
+    for tied in (False, True):
+        if tied:
+            w = model.out_weight.value
+            w[[0, hidden], 0] = 0.0
+            w[hidden - 1, 1], w[2 * hidden - 1, 1] = 0.25, -0.25
+        batched = atom_maps(model, graphs, targets)
+        for k, g in enumerate(graphs):
+            alone = atom_maps(model, [g], targets)[0]
+            for t, target in enumerate(targets):
+                expected = repr(one_molecule_map(model, g, target))
+                assert repr(batched[k][t]) == expected, (g.id, target, tied)
+                assert repr(alone[t]) == expected, (g.id, target, tied)
+                assert len(batched[k][t].terms) == 2 * hidden
+                assert len(batched[k][t].atom_scores) == g.num_atoms
+
+
+def test_per_atom_map_over_three_targets_packs_once(monkeypatch):
+    model = small_model(targets=("a", "b", "c"))
+    g = generate_graphs(ToySpec(num_molecules=1, seed=4))[0]
+    packed = []
+    real_pack = model_module.pack_graphs
+
+    def pack_graphs(graphs):
+        packed.append([h.id for h in graphs])
+        return real_pack(graphs)
+
+    monkeypatch.setattr(model_module, "pack_graphs", pack_graphs)
+    maps = [per_atom_map(model, g, t) for t in ("a", "b", "c")]
+    maps += [contribution_terms(model, g, t) for t in ("a", "b", "c")]
+    assert packed == [[g.id]]
+    monkeypatch.undo()
+    fresh = replace(g)  # rebuilt: its own pack, the same maps
+    assert [repr(m) for m in maps[:3]] == [repr(per_atom_map(model, fresh, t)) for t in "abc"]
+
+
 def test_atom_maps_run_one_forward_pass(monkeypatch):
     model = small_model(targets=("a", "b"))
     graphs = generate_graphs(ToySpec(num_molecules=25, seed=8))

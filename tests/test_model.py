@@ -1,5 +1,6 @@
 """Model construction, forward semantics, and checkpoint round trips."""
 
+import dataclasses
 import json
 import re
 import threading
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from ginigcn import autodiff as ad
+from ginigcn import model as model_module
 from ginigcn.model import (
     SLICE,
     CheckpointError,
@@ -23,7 +25,8 @@ from ginigcn.model import (
     slice_bounds,
 )
 from ginigcn.gini import GiniConfig
-from ginigcn.molecules import (Atom, MolecularGraph, MoleculeError, featurize, pack_graphs,
+from ginigcn.molecules import (Atom, MolecularGraph, MoleculeError, featurize,
+                               format_graph_file, graph_to_record, pack_graphs, parse_graph_file,
                                parse_smiles_subset)
 from ginigcn.toydata import ToySpec, generate_graphs
 from ginigcn.training import TrainConfig, train
@@ -349,6 +352,82 @@ def test_train_forward_on_take_matches_forward_batch():
     for (name, sa), (_, sb) in zip(a.batch_norm_states(), b.batch_norm_states()):
         assert np.array_equal(sa.running_mean, sb.running_mean), name
         assert np.array_equal(sa.running_var, sb.running_var), name
+
+
+# ------------------------------------------------- kept one-molecule pack
+
+
+def test_kept_pack_is_built_once_and_read_only(monkeypatch):
+    model = init_model(ModelConfig(targets=["a"], conv_hidden=8, num_conv_layers=2, seed=1))
+    g = parse_smiles_subset("CC(O)C=O")
+    before = (repr(g), graph_to_record(g), dataclasses.asdict(g))
+    calls = []
+    real = model_module.pack_graphs
+
+    def counted(graphs):
+        calls.append([h.id for h in graphs])
+        return real(graphs)
+
+    monkeypatch.setattr(model_module, "pack_graphs", counted)
+    assert g.kept_pack is None
+    first = model.forward_batch([g]).output.value.copy()
+    kept = g.kept_pack
+    assert np.array_equal(model.predict([g]), first)
+    assert np.array_equal(model.forward_batch([g]).output.value, first)
+    assert calls == [[g.id]] and g.kept_pack is kept
+    x, neighbors, atoms = kept
+    assert np.array_equal(x, featurize(g))
+    for array in kept:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1
+    # not a field: equality, repr and the record ignore it
+    assert (repr(g), graph_to_record(g), dataclasses.asdict(g)) == before
+    assert g == parse_smiles_subset("CC(O)C=O")
+    # a graph rebuilt with replace, or parsed again, packs afresh to the same bits
+    for twin in (dataclasses.replace(g), parse_graph_file(format_graph_file([g]))[0]):
+        assert twin.kept_pack is None
+        assert model.forward_batch([twin]).output.value.tobytes() == first.tobytes()
+        assert twin.kept_pack is not None and twin.kept_pack[0] is not x
+    assert len(calls) == 3
+
+
+def test_train_forward_over_a_kept_pack_matches_a_fresh_pack():
+    cfg = ModelConfig(targets=["a", "b"], conv_hidden=8, num_conv_layers=3, seed=4)
+    kept, fresh = init_model(cfg), init_model(cfg)
+    g = generate_graphs(ToySpec(num_molecules=1, seed=9))[0]
+    kept.forward_batch([g])  # keeps the pack
+    assert g.kept_pack is not None
+    fk = kept.forward_batch([g], mode="train")
+    ff = fresh.forward(*PackedDataset([g]).take([0]), mode="train")
+    for field in ("output", "fingerprint", "node_reps"):
+        assert getattr(fk, field).value.tobytes() == getattr(ff, field).value.tobytes(), field
+    for fwd in (fk, ff):
+        ad.backward(ad.reduce(fwd.output, "sum"))
+    for (name, a), (_, b) in zip(kept.named_parameters(), fresh.named_parameters()):
+        assert a.grad.tobytes() == b.grad.tobytes(), name
+    for (name, sa), (_, sb) in zip(kept.batch_norm_states(), fresh.batch_norm_states()):
+        assert sa.running_mean.tobytes() == sb.running_mean.tobytes(), name
+        assert sa.running_var.tobytes() == sb.running_var.tobytes(), name
+
+
+def test_pack_error_is_raised_on_every_one_molecule_pass():
+    model = init_model(ModelConfig(targets=["a"], conv_hidden=4, num_conv_layers=1, seed=0))
+    bad = MolecularGraph(id="bad", atoms=[Atom("C")] * 6, bonds=[(0, k, 1) for k in range(1, 6)])
+    for call in (lambda: model.forward_batch([bad]), lambda: model.predict([bad]),
+                 lambda: model.forward_batch([bad], mode="train")) * 2:
+        with pytest.raises(MoleculeError, match="^molecule 'bad': atom 0 degree 5 > 4$"):
+            call()
+        assert bad.kept_pack is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, SLICE, SLICE + 1, 2 * SLICE + 1, 300])
+def test_predict_over_a_pack_matches_predict_over_the_list(n):
+    model = init_model(ModelConfig(targets=["a", "b"], conv_hidden=8, num_conv_layers=2, seed=3))
+    graphs = generate_graphs(ToySpec(num_molecules=n, seed=14))
+    packed = PackedDataset(graphs)
+    assert len(packed) == n and packed.graphs is graphs
+    assert model.predict(packed).tobytes() == model.predict(graphs).tobytes()
 
 
 # ------------------------------------------------------------- fingerprint

@@ -375,6 +375,39 @@ def test_train_featurizes_each_molecule_once(monkeypatch):
     assert sorted(calls) == sorted(g.id for g in graphs)
 
 
+def test_train_packs_each_molecule_once_validation_included(monkeypatch):
+    # the validation set is packed once per train call, not once per epoch,
+    # and every epoch's validation MAE is that of evaluate_mae over the list
+    graphs = generate_graphs(ToySpec(num_molecules=20, seed=3))
+    val = generate_graphs(ToySpec(num_molecules=2 * model_module.SLICE + 1, seed=4))
+    cfg = ModelConfig(targets=["size", "oxygen_count"], conv_hidden=4, num_conv_layers=2, seed=0)
+    calls = []
+    real = model_module.pack_graphs
+
+    def counted(packed):
+        calls.extend(g.id for g in packed)
+        return real(packed)
+
+    monkeypatch.setattr(model_module, "pack_graphs", counted)
+    model, stats, history = train(init_model(cfg), graphs, toy_train_config(epochs=3, batch_size=6),
+                                  val_graphs=val)
+    assert sorted(calls) == sorted(g.id for g in graphs + val)
+    monkeypatch.undo()
+    assert len(history) == 3
+    assert repr(history.val_mae[-1]) == repr(training.evaluate_mae(model, stats, val))
+
+
+def test_unfeaturizable_validation_molecule_fails_before_any_update():
+    graphs = generate_graphs(ToySpec(num_molecules=12, seed=2))
+    val = generate_graphs(ToySpec(num_molecules=4, seed=5)) + [five_bond_carbon()]
+    model = init_model(ModelConfig(targets=["size"], conv_hidden=4, num_conv_layers=1, seed=0))
+    initial = [p.value.copy() for p in model.parameters()]
+    with pytest.raises(MoleculeError, match="bad-carbon"):
+        train(model, graphs, toy_train_config(epochs=2, batch_size=6), val_graphs=val)
+    for p, before in zip(model.parameters(), initial):
+        assert np.array_equal(p.value, before)
+
+
 def test_unfeaturizable_molecule_fails_before_any_update():
     graphs = generate_graphs(ToySpec(num_molecules=60, seed=2))
     graphs.insert(50, five_bond_carbon())
