@@ -99,16 +99,11 @@ class Node:
     """A tensor in the computation graph.
 
     A trainable leaf (``requires_grad`` and no parents) holds a same-shape
-    ``grad`` buffer that accumulates across :func:`backward` calls until reset
-    with :meth:`zero_grad`, which binds a new zero array. :func:`backward`
-    adds into the buffer in place, so it may be a view of a larger array:
-    ``training.AdamState`` keeps every parameter's ``value`` and ``grad`` as
-    views of one flat buffer each, and copies in either attribute when it
-    has been rebound to a new array. Every other node's ``grad`` is ``None``:
-    intermediates pass their gradient through to their parents. A node that
-    does not require grad keeps no parents and no backward closure. Graphs
-    are acyclic by construction (operations only ever link to previously
-    created nodes).
+    ``grad`` buffer, created as zeros, that :func:`backward` adds into in
+    place. Every other node's ``grad`` is ``None``: intermediates pass their
+    gradient through to their parents. A node that does not require grad
+    keeps no parents and no backward closure. Graphs are acyclic by
+    construction (operations only ever link to previously created nodes).
     """
 
     __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward")
@@ -129,9 +124,6 @@ class Node:
     @property
     def shape(self):
         return self.value.shape
-
-    def zero_grad(self):
-        self.grad = np.zeros_like(self.value)
 
     def __repr__(self):
         tag = "param" if self.requires_grad and not self._parents else "node"
@@ -724,9 +716,9 @@ def reduce(x, kind: str) -> Node:
 def backward(root: Node) -> None:
     """Populate gradients of all trainable leaves reachable from a scalar root.
 
-    Each call adds this pass's derivatives into the leaves' persistent
-    ``grad`` buffers, in place, so repeated calls without
-    :meth:`Node.zero_grad` accumulate. Intermediate nodes keep ``grad = None``.
+    Each call adds this pass's derivatives into the leaves' ``grad`` buffers,
+    in place, so repeated calls accumulate. Intermediate nodes keep
+    ``grad = None``.
     """
     if root.value.shape != ():
         raise ShapeError(f"backward requires a scalar root, got shape {root.value.shape}")
@@ -755,7 +747,7 @@ def backward(root: Node) -> None:
         if g is None:
             continue
         if not node._parents:
-            node.grad += g  # in place: a parameter's grad may be a view of a flat buffer
+            node.grad += g
             continue
         for p, pg in zip(node._parents, node._backward(g)):
             if pg is None or not p.requires_grad:

@@ -183,7 +183,7 @@ def cmd_gini_report(args) -> int:
         "gini_whole_layer": gini(w),
         "per_target": {},
     }
-    if model.config.variant == "explainable":
+    if model.is_explainable:
         doc["g_mean_block"], doc["g_max_block"] = layer_gini_blocks(w, model.config.conv_hidden)
     else:
         doc["g_mean_block"] = None

@@ -32,7 +32,6 @@ __all__ = [
     "slice_bounds",
     "eval_slices",
     "init_model",
-    "conv_forward",
     "fingerprint",
     "checkpoint_document",
     "model_from_document",
@@ -104,19 +103,6 @@ class BatchForward:
     output: ad.Node          # (molecules, targets)
     fingerprint: ad.Node     # (molecules, 2 * conv_hidden)
     node_reps: ad.Node       # (atoms, conv_hidden), last-conv outputs (post-ReLU, pre-tanh)
-
-
-def conv_forward(h: ad.Node, neighbors: np.ndarray, weight: ad.Node, bias: ad.Node,
-                 bn_state: ad.BatchNormState, mode: str, arena=None) -> ad.Node:
-    """One fingerprint convolution: ReLU(BN(W (h_v + sum of neighbors) + b)).
-
-    Row v of the ``neighbors`` table lists atom v and its bonded neighbors in
-    ascending order, padded with the atom count. It is one tape node,
-    :func:`autodiff.conv`, which sums the neighbours slot by slot and runs the
-    affine map, batch norm and ReLU in place; an eval pass with the tape off
-    may write its arrays into ``arena`` (see :meth:`Model.predict`).
-    """
-    return ad.conv(h, neighbors, weight, bias, bn_state, mode, arena)
 
 
 def fingerprint(node_reps: ad.Node, atoms: np.ndarray) -> ad.Node:
@@ -314,16 +300,6 @@ class Model:
             states.append(("intermediate", self.mid_bn))
         return states
 
-    def zero_grads(self) -> None:
-        """Give every parameter a new zero grad (:meth:`autodiff.Node.zero_grad`).
-
-        :func:`training.train` does not call it: it zeroes its ``AdamState``'s
-        flat grad buffer with one fill, and the ``AdamState`` copies in any
-        grad rebound in between, as this method rebinds them.
-        """
-        for node in self.parameters():
-            node.zero_grad()
-
     def forward_batch(self, graphs: list[MolecularGraph], mode: str = "eval",
                       arena=None) -> BatchForward:
         """Run the full network over a batch of molecules, packed in input order.
@@ -347,8 +323,8 @@ class Model:
         try:
             h = ad.constant(x)
             for ell in range(self.config.num_conv_layers):
-                h = conv_forward(h, neighbors, self.conv_weights[ell], self.conv_biases[ell],
-                                 self.conv_bn[ell], mode, arena)
+                h = ad.conv(h, neighbors, self.conv_weights[ell], self.conv_biases[ell],
+                            self.conv_bn[ell], mode, arena)
             fp = fingerprint(h, atoms)
             head = fp
             if self.config.variant == VARIANT_REFERENCE:
@@ -477,7 +453,6 @@ def model_from_document(doc: dict) -> Model:
         dims = entry.get("shape")
         if dims != list(shape) or set(map(type, dims)) != {int}:  # [1.0] == [True] == [1]
             raise CheckpointError(f"{what} has shape {dims!r}, expected {shape}")
-        node.zero_grad()
     for name, state in model.batch_norm_states():
         if name not in bn:
             raise CheckpointError(f"checkpoint missing batch_norm state {name!r}")

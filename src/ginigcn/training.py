@@ -106,6 +106,11 @@ class TargetStats:
     @classmethod
     def from_dict(cls, doc: dict) -> "TargetStats":
         """Read :meth:`to_dict`'s document; its numbers follow the run configs' rule."""
+        if not isinstance(doc, dict):
+            raise ValueError("target stats must be a JSON object")
+        version = doc.get("format_version")
+        if type(version) is not int or version != 1:
+            raise ValueError(f"unsupported target stats format_version {version!r}")
         names, targets = doc.get("order"), doc.get("targets")
         if not isinstance(names, list) or not isinstance(targets, dict) \
                 or sorted(names, key=str) != sorted(targets):
@@ -236,10 +241,11 @@ class AdamState:
 
     ``values`` and ``grads`` hold every parameter's value and grad, in
     ``params`` order; each parameter's ``value`` and ``grad`` become views
-    of them, so one vector op updates or zeroes them all. ``m`` and ``v``
-    are the first and second moments, one float64 entry per value. A
-    parameter whose ``value`` or ``grad`` is later rebound to another array
-    keeps working: :meth:`bind` copies it in and restores the view.
+    of them, so :func:`autodiff.backward` fills ``grads`` and one vector op
+    updates or zeroes them all. ``m`` and ``v`` are the first and second
+    moments, one float64 entry per value. A parameter whose ``value`` or
+    ``grad`` is later rebound to another array keeps working: :meth:`bind`
+    copies it in and restores the view.
     """
 
     def __init__(self, params: list[ad.Node]):
@@ -274,18 +280,14 @@ class AdamState:
         self.grads.fill(0.0)
 
 
-def adam_step(params: list[ad.Node], state: AdamState, cfg: TrainConfig) -> None:
+def adam_step(state: AdamState, cfg: TrainConfig) -> None:
     """One bias-corrected Adam update of ``state.values``, in place, from ``state.grads``.
 
-    ``params`` are the nodes ``state`` was built over, in the same order;
-    their values and grads are bound first (:meth:`AdamState.bind`). The
-    update is a few vector ops over the flat buffers, elementwise the
-    per-parameter form ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g``,
+    The parameters' values and grads are bound first (:meth:`AdamState.bind`).
+    The update is elementwise the per-parameter form
+    ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g``,
     ``value -= lr (m / c1) / (sqrt(v / c2) + eps)``, so the same bits.
     """
-    if len(params) != len(state._views) or any(
-            p is not q for p, (q, _, _) in zip(params, state._views)):
-        raise ValueError("adam_step: params are not the nodes the AdamState was built over")
     state.bind()
     state.t += 1
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
@@ -339,8 +341,7 @@ def train(
     names = model.config.targets
     y, mask = target_matrix(graphs, names)
     stats, z = standardize_targets(y, mask, names)
-    params = model.parameters()
-    opt = AdamState(params)
+    opt = AdamState(model.parameters())
     history = History(target_names=list(names))
 
     for epoch in range(cfg.epochs):
@@ -364,7 +365,7 @@ def train(
             if not np.isfinite(loss.value):
                 raise TrainingDivergence(epoch + 1, b + 1, float(loss.value), history)
             ad.backward(loss)
-            adam_step(params, opt, cfg)
+            adam_step(opt, cfg)
         history.append(report, evaluate_mae(model, stats, val) if val else {})
     return model, stats, history
 

@@ -16,7 +16,6 @@ from ginigcn.model import (
     CheckpointError,
     ModelConfig,
     checkpoint_document,
-    conv_forward,
     eval_slices,
     fingerprint,
     init_model,
@@ -125,7 +124,7 @@ def test_conv_isolated_atom():
     neighbors = np.array([[0]])
     w = ad.constant([[3.0]])
     b = ad.constant([0.5])
-    out = conv_forward(h, neighbors, w, b, make_identity_bn(1), "eval")
+    out = ad.conv(h, neighbors, w, b, make_identity_bn(1), "eval")
     assert np.allclose(out.value, [[6.5]], atol=1e-12)
 
 
@@ -135,7 +134,7 @@ def test_conv_symmetric_pair():
     rng = np.random.default_rng(0)
     w = ad.constant(rng.normal(size=(3, 4)))
     b = ad.constant(rng.normal(size=4))
-    out = conv_forward(h, neighbors, w, b, make_identity_bn(4), "eval")
+    out = ad.conv(h, neighbors, w, b, make_identity_bn(4), "eval")
     assert np.allclose(out.value[0], out.value[1])
 
 
@@ -144,8 +143,8 @@ def test_conv_three_atom_path_hand_values():
     # self+neighbor sums: [3, 6, 5] -> affine: [6.5, 12.5, 10.5] -> bn(identity) -> relu
     h = ad.constant([[1.0], [2.0], [3.0]])
     neighbors = np.array([[0, 1, 3], [0, 1, 2], [1, 2, 3]])  # 3 = padding
-    out = conv_forward(h, neighbors, ad.constant([[2.0]]), ad.constant([0.5]),
-                       make_identity_bn(1), "eval")
+    out = ad.conv(h, neighbors, ad.constant([[2.0]]), ad.constant([0.5]),
+                  make_identity_bn(1), "eval")
     assert np.allclose(out.value, [[6.5], [12.5], [10.5]], atol=1e-12)
 
 
@@ -770,6 +769,27 @@ def test_checkpoint_round_trip_bit_exact():
         assert np.array_equal(sa.running_var, sb.running_var), name
     # identical predictions after reload
     assert np.array_equal(model.predict(graphs), clone.predict(graphs))
+
+
+@pytest.mark.parametrize("variant", ["explainable", "reference"])
+def test_rebuilt_model_starts_with_zero_grads_and_trains_like_its_source(variant):
+    graphs = generate_graphs(ToySpec(num_molecules=16, seed=5))
+    model = init_model(ModelConfig(targets=["size", "oxygen_count"], variant=variant,
+                                   conv_hidden=6, num_conv_layers=2, intermediate_dim=5, seed=2))
+    gini = GiniConfig(m=2 if variant == "explainable" else 0)
+    cfg = TrainConfig(epochs=2, batch_size=5, learning_rate=1e-2, gini=gini, seed=7)
+    train(model, graphs, cfg)
+    assert any(node.grad.any() for node in model.parameters())
+    clone = model_from_document(json.loads(json.dumps(checkpoint_document(model))))
+    for name, node in clone.named_parameters():
+        assert node.grad.shape == node.value.shape and not node.grad.any(), name
+    train(model, graphs, cfg)
+    train(clone, graphs, cfg)
+    for (name, a), (_, b) in zip(model.named_parameters(), clone.named_parameters()):
+        assert a.value.tobytes() == b.value.tobytes(), name
+    for (name, sa), (_, sb) in zip(model.batch_norm_states(), clone.batch_norm_states()):
+        assert sa.running_mean.tobytes() == sb.running_mean.tobytes(), name
+        assert sa.running_var.tobytes() == sb.running_var.tobytes(), name
 
 
 def test_checkpoint_rejects_bad_version():
