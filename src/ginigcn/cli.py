@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from dataclasses import asdict
@@ -163,6 +164,14 @@ def cmd_explain(args) -> int:
     unknown = [i for i in ids if i not in by_id]
     if unknown:
         raise ValueError(f"unknown molecule id(s): {', '.join(unknown)}")
+    repeated = [i for i, count in Counter(ids).items() if count > 1]
+    if repeated:
+        raise ValueError(f"--ids names molecule id(s) more than once: {', '.join(repeated)}")
+    if args.out:  # each document is written to attribution_<id>_<target>.json in --out
+        unsafe = [name for name in (*ids, args.target) if "/" in name or os.sep in name]
+        if unsafe:
+            raise ValueError(f"molecule id or target name has a path separator, so it cannot "
+                             f"name a file in --out: {', '.join(map(repr, unsafe))}")
     if not ids:
         return EXIT_OK
     graphs = [by_id[mol_id] for mol_id in ids]

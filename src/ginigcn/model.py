@@ -191,17 +191,13 @@ class PackedDataset:
     the atom count. Molecule k owns rows ``offsets[k]:offsets[k + 1]``. The
     arrays come from one pass over the atoms and bonds and one sort of
     (row, neighbour) keys. Batches are slices of the pack, taken with
-    :meth:`take`. ``graphs`` is the packed list, for the targets.
+    :meth:`take`.
     """
 
     def __init__(self, graphs: list[MolecularGraph]):
         if not graphs:
             raise ValueError("empty batch")
-        self.graphs = graphs
         self.x, self.offsets, self.neighbors = pack_graphs(graphs)
-
-    def __len__(self) -> int:
-        return len(self.graphs)
 
     def take(self, indices):
         """Node features and the index tables ``neighbors`` and ``atoms`` of a batch.
@@ -235,22 +231,20 @@ def _packed(graphs: list[MolecularGraph]):
     A list of one molecule reads the pack kept on its graph. The first such
     pass over a :class:`MolecularGraph` stores the three arrays, read-only,
     as the graph's ``kept_pack``; later passes over the same object reuse
-    them, as when a molecule is explained once per target. A pack error,
-    such as a degree above 4, is raised on every attempt and never stored.
-    Any other list is packed afresh.
+    them, as when a molecule is explained once per target. Any other list
+    is packed afresh.
     """
+    if not graphs:
+        raise ValueError("empty batch")
+    if len(graphs) == 1 and graphs[0].kept_pack is not None:
+        return graphs[0].kept_pack
+    x, offsets, neighbors = pack_graphs(graphs)
+    packed = (x, neighbors, _atom_table(offsets))
     if len(graphs) == 1:
-        (graph,) = graphs
-        kept = graph.kept_pack
-        if kept is None:
-            x, offsets, neighbors = pack_graphs(graphs)
-            kept = (x, neighbors, _atom_table(offsets))
-            for array in kept:
-                array.flags.writeable = False
-            graph.kept_pack = kept
-        return kept
-    packed = PackedDataset(graphs)
-    return packed.x, packed.neighbors, _atom_table(packed.offsets)
+        for array in packed:
+            array.flags.writeable = False
+        graphs[0].kept_pack = packed
+    return packed
 
 
 class Model:
@@ -335,7 +329,7 @@ class Model:
             ad._set_recording(recording)
         return BatchForward(output=out, fingerprint=fp, node_reps=h)
 
-    def predict(self, graphs: list[MolecularGraph] | PackedDataset) -> np.ndarray:
+    def predict(self, graphs: list[MolecularGraph]) -> np.ndarray:
         """Eval-mode prediction matrix (molecules, targets); column j is targets[j].
 
         The molecules run in :func:`eval_slices`, one packed forward pass per
@@ -348,27 +342,16 @@ class Model:
         (2,604 molecules at H=64 and 3 targets). Past that, single-threaded
         OpenBLAS switches the one pass's output product to its large-matrix
         kernel, which moves some of that pass's rows by about 1e-15.
-
-        ``graphs`` may be a :class:`PackedDataset`, packed once for repeated
-        calls: each slice is then taken from it (:meth:`PackedDataset.take`),
-        the arrays of packing that slice, so the same bits.
         """
-        packed = isinstance(graphs, PackedDataset)
-        bounds = slice_bounds(len(graphs), SLICE)
-        atoms = max(graphs.offsets[stop] - graphs.offsets[start] if packed
-                    else sum(len(g.atoms) for g in graphs[start:stop]) for start, stop in bounds)
+        slices = eval_slices(graphs)
+        atoms = max(sum(len(g.atoms) for g in part) for part in slices)
         # Per conv: the padded input, which the output overlays, and two (atoms, d_in) sums.
         arena = np.empty(3 * (atoms + 1) * max(FEATURE_DIM, self.config.conv_hidden))
-
-        def run(start, stop):
-            if packed:
-                return self.forward(*graphs.take(np.arange(start, stop)), arena=arena)
-            return self.forward_batch(graphs[start:stop], arena=arena)
-
         # Each pass is dropped once its output is read: holding it (its
         # fingerprint, about 128 KB a slice) through the next pass made
         # 1,000-molecule evaluate_mae calls about 5 % slower.
-        return np.concatenate([run(start, stop).output.value for start, stop in bounds])
+        return np.concatenate([self.forward_batch(part, arena=arena).output.value
+                               for part in slices])
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:

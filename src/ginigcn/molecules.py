@@ -69,20 +69,24 @@ class MolecularGraph:
     """Undirected heavy-atom graph with per-molecule regression targets.
 
     The one check of molecule fields, for graphs read from files and built
-    in code alike. Each atom has a supported ``element``, a nonnegative
-    integer ``implicit_hydrogens`` and a bool ``aromatic``. ``bonds`` holds
+    in code alike. Each atom has a supported ``element``, an integer
+    ``implicit_hydrogens`` in 0-4 and a bool ``aromatic``. ``bonds`` holds
     ``(i, j, order)`` triples: distinct integer atom indices, each pair once,
-    and an order of exactly 1, 2, 3 or ``"aromatic"``. ``targets`` maps names
-    to finite numbers, and ``fukui`` holds one ``(f_minus, f_plus)`` pair of
-    finite numbers per atom; both are stored as floats. A failure raises
-    ``MoleculeError("molecule '<id>': ...")``.
+    and an order of exactly 1, 2, 3 or ``"aromatic"``; no atom has more than
+    four bonds. ``targets`` maps names to finite numbers, and ``fukui`` holds
+    one ``(f_minus, f_plus)`` pair of finite numbers per atom; both are
+    stored as floats. The atoms are checked first, then the bonds, the
+    degrees, the targets and ``fukui``. A failure raises
+    ``MoleculeError("molecule '<id>': ...")``. Degree and hydrogen count are
+    one-hots over 0-4 in the atom features, so every built graph packs
+    (:func:`pack_graphs`).
 
     After the checks the graph keeps two flat int64 arrays that
     :func:`pack_graphs` reads in place of the atoms and bonds: ``atom_codes``,
     per atom the element column, the hydrogen column
-    ``11 + min(implicit_hydrogens, 5)`` and the aromatic flag, and
-    ``bond_ends``, the ``i, j`` of each bond, ``i < j``. They are built once,
-    so the atoms and bonds of a built graph are not to be changed in place.
+    ``11 + implicit_hydrogens`` and the aromatic flag, and ``bond_ends``, the
+    ``i, j`` of each bond, ``i < j``. They are built once, so the atoms and
+    bonds of a built graph are not to be changed in place.
 
     The same rule lets a graph keep its one-molecule pack. ``kept_pack`` is
     None until the first forward pass over this graph alone; that pass
@@ -107,18 +111,19 @@ class MolecularGraph:
                 raise ValueError("at least one atom required")
             n = len(self.atoms)
             codes = []
-            for atom in self.atoms:
+            for k, atom in enumerate(self.atoms):
                 if atom.element not in SUPPORTED_ELEMENTS:
                     raise ValueError(f"unsupported element {atom.element!r}")
                 check_integer("implicit hydrogen count", atom.implicit_hydrogens)
                 if atom.implicit_hydrogens < 0:
                     raise ValueError("negative implicit hydrogen count")
+                if atom.implicit_hydrogens > _MAX_ONE_HOT:
+                    raise ValueError(f"atom {k} implicit hydrogen count "
+                                     f"{atom.implicit_hydrogens} > {_MAX_ONE_HOT}")
                 if not isinstance(atom.aromatic, bool):
                     raise ValueError(f"aromatic must be true or false, got {atom.aromatic!r}")
-                # a count past 4 caps at the first column past the one-hot, so it fits int64
                 codes += (_ELEMENT_INDEX[atom.element],
-                          _HYDROGEN_COLUMN + min(atom.implicit_hydrogens, _MAX_ONE_HOT + 1),
-                          atom.aromatic)
+                          _HYDROGEN_COLUMN + atom.implicit_hydrogens, atom.aromatic)
             if not isinstance(self.bonds, (list, tuple)):
                 raise ValueError(f"bonds must be a list of triples, got {self.bonds!r}")
             seen = set()
@@ -146,6 +151,10 @@ class MolecularGraph:
             self.bonds = normalized
             self.atom_codes = np.array(codes, dtype=np.int64)
             self.bond_ends = np.array(ends, dtype=np.int64)
+            degrees = self.degrees()
+            if degrees.max() > _MAX_ONE_HOT:
+                k = int((degrees > _MAX_ONE_HOT).argmax())
+                raise ValueError(f"atom {k} degree {degrees[k]} > {_MAX_ONE_HOT}")
             targets = self.targets
             if not isinstance(targets, dict) or not all(isinstance(k, str) for k in targets):
                 raise ValueError(f"targets must map names to numbers, got {targets!r}")
@@ -172,8 +181,9 @@ class MolecularGraph:
             adj[j].append(i)
         return adj
 
-    def degrees(self) -> list[int]:
-        return [len(nbrs) for nbrs in self.neighbors()]
+    def degrees(self) -> np.ndarray:
+        """Heavy-atom degree per atom, int64."""
+        return np.bincount(self.bond_ends, minlength=len(self.atoms))
 
 
 def finite_number(name: str, value) -> float:
@@ -381,9 +391,8 @@ def pack_graphs(graphs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rows ``offsets[k]:offsets[k + 1]``. Row v of ``neighbors`` lists atom v
     and its bonded neighbours, ascending, padded with the atom count. The
     arrays come from each graph's ``atom_codes`` and ``bond_ends``, with no
-    pass in Python over atoms or bonds. The first atom in list order whose
-    degree or implicit hydrogen count exceeds 4 raises MoleculeError, its
-    degree checked first.
+    pass in Python over atoms or bonds. Every built graph packs: its
+    degrees and hydrogen counts lie in 0-4 (:class:`MolecularGraph`).
     """
     starts = np.array([0, *accumulate(len(g.atoms) for g in graphs)])
     n = int(starts[-1])
@@ -396,23 +405,11 @@ def pack_graphs(graphs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     keys.sort()
     rows, nbrs = np.divmod(keys, n)
     widths = np.bincount(rows)  # degree + 1
-    width = widths.max()
-    # Element columns stop at 4 and the flag at 1, so only a hydrogen column passes 15.
-    if width > _MAX_ONE_HOT + 1 or codes.max() > _HYDROGEN_COLUMN + _MAX_ONE_HOT:
-        degrees = widths - 1
-        too_many_h = codes[:, 1] > _HYDROGEN_COLUMN + _MAX_ONE_HOT
-        v = int(((degrees > _MAX_ONE_HOT) | too_many_h).argmax())
-        m = int(np.searchsorted(starts, v, side="right")) - 1
-        where = f"molecule {graphs[m].id!r}: atom {v - starts[m]}"
-        if degrees[v] > _MAX_ONE_HOT:
-            raise MoleculeError(f"{where} degree {degrees[v]} > {_MAX_ONE_HOT}")
-        count = graphs[m].atoms[v - starts[m]].implicit_hydrogens  # the real count, not the cap
-        raise MoleculeError(f"{where} implicit hydrogen count {count} > {_MAX_ONE_HOT}")
     x = np.zeros((n, FEATURE_DIM))
     x[:, 10] = codes[:, 2]
     codes[:, 2] = widths + 4  # the degree column, 5 + degree
     x[np.arange(n)[:, None], codes] = 1.0
-    neighbors = np.empty((n, width), dtype=np.intp)
+    neighbors = np.empty((n, widths.max()), dtype=np.intp)
     neighbors.fill(n)
     # Keys are sorted, so row r's keys run from rows.searchsorted(r), ascending.
     neighbors[rows, np.arange(len(keys)) - rows.searchsorted(rows)] = nbrs

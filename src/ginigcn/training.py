@@ -322,12 +322,12 @@ def train(
 ):
     """Minimize the regularized loss over seeded shuffled mini-batches.
 
-    ``graphs`` and ``val_graphs`` are packed once each, before the first
-    epoch, so a molecule that cannot be packed raises MoleculeError before
-    any weight moves; every epoch's validation reads the one pack.
-    Target statistics are fitted on ``graphs`` (the training fold). Returns
-    ``(model, stats, history)``; the model is mutated in place. Gini
-    regularization (m > 0) requires the explainable variant.
+    ``graphs`` is packed once, before the first epoch, and each batch is
+    taken from that pack. After each epoch, ``val_graphs`` (if given) is
+    scored with :func:`evaluate_mae`, as :func:`cross_validate` scores a
+    held-out fold. Target statistics are fitted on ``graphs`` (the training
+    fold). Returns ``(model, stats, history)``; the model is mutated in
+    place. Gini regularization (m > 0) requires the explainable variant.
 
     Raises TrainingDivergence, carrying the history so far, when a non-finite
     loss appears.
@@ -337,7 +337,6 @@ def train(
     if cfg.gini.m > 0 and not model.is_explainable:
         raise ValueError("Gini regularization (m > 0) requires the explainable variant")
     packed = PackedDataset(graphs)
-    val = PackedDataset(val_graphs) if val_graphs else None
     names = model.config.targets
     y, mask = target_matrix(graphs, names)
     stats, z = standardize_targets(y, mask, names)
@@ -366,18 +365,18 @@ def train(
                 raise TrainingDivergence(epoch + 1, b + 1, float(loss.value), history)
             ad.backward(loss)
             adam_step(opt, cfg)
-        history.append(report, evaluate_mae(model, stats, val) if val else {})
+        history.append(report, evaluate_mae(model, stats, val_graphs) if val_graphs else {})
     return model, stats, history
 
 
 def evaluate_mae(model: Model, stats: TargetStats,
-                 graphs: list[MolecularGraph] | PackedDataset) -> dict[str, float]:
+                 graphs: list[MolecularGraph]) -> dict[str, float]:
     """Per-target mean absolute error in original units (eval mode).
 
     ``stats`` must name the model's targets in the model's order. Unobserved
     entries are skipped; a target with no observed entries at all is an
-    error. ``graphs`` may be a :class:`PackedDataset`, as :func:`train`
-    passes its validation set (see :meth:`Model.predict`).
+    error. The predictions come from :meth:`Model.predict`, one packed
+    forward pass per eval slice.
     """
     if not graphs:
         raise ValueError("empty evaluation set")
@@ -385,8 +384,7 @@ def evaluate_mae(model: Model, stats: TargetStats,
     if list(stats.names) != list(names):
         raise ValueError(f"target stats name {list(stats.names)}, but the model predicts "
                          f"{list(names)}")
-    listed = graphs.graphs if isinstance(graphs, PackedDataset) else graphs
-    y, mask = target_matrix(listed, names)
+    y, mask = target_matrix(graphs, names)
     pred = stats.inverse(model.predict(graphs))
     maes = {}
     for c, name in enumerate(names):

@@ -75,8 +75,7 @@ def test_train_unfeaturizable_molecule_exits_1(workspace, capsys):
     assert main(["train", "--config", str(config_path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "five-bond-carbon" in captured.err and "degree 5" in captured.err
+    assert captured.err == "error: line 25: molecule 'five-bond-carbon': atom 0 degree 5 > 4\n"
     assert not (tmp / "run" / "checkpoint.json").exists()
 
 
@@ -284,6 +283,81 @@ def test_explain_repeated_id_exits_1(workspace, capsys):
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and graphs[0].id in captured.err
     assert not (tmp / "expl").exists()
+
+
+def explain_ids(tmp_path, ids, target="size", out=True):
+    """Run explain on an untrained checkpoint and three toy molecules, the first
+    renamed to ``ids[0]``; return the exit code."""
+    targets = list(dict.fromkeys(["size", target]))
+    model = init_model(ModelConfig(targets=targets, conv_hidden=2, num_conv_layers=1))
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(json.dumps(checkpoint_document(model)))
+    graphs = generate_graphs(ToySpec(num_molecules=3, seed=5))
+    graphs[0].id = ids[0]
+    write_dataset(tmp_path / "data.jsonl", graphs)
+    argv = ["explain", "--checkpoint", str(ckpt), "--dataset", str(tmp_path / "data.jsonl"),
+            "--target", target, "--ids", ",".join(ids)]
+    if out:
+        argv += ["--out", str(tmp_path / "a" / "b" / "expl")]
+    return main(argv)
+
+
+@pytest.mark.parametrize("ids, target", [
+    (["x/../../../escaped2"], "size"),
+    (["sub/dir"], "size"),
+    (["toy-00000"], "per/atom"),
+], ids=["escaping_id", "subdirectory_id", "target"])
+def test_explain_out_rejects_a_name_with_a_path_separator(tmp_path, capsys, ids, target):
+    # documents go to --out/attribution_<id>_<target>.json; a separator would
+    # put one outside --out or in a new subdirectory
+    assert explain_ids(tmp_path, ids, target) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "path separator" in captured.err
+    assert not (tmp_path / "a").exists()
+    assert not [p for p in tmp_path.rglob("*") if p.name.startswith(("escaped2", "attribution"))]
+    # without --out nothing is written, and the same names are fine
+    assert explain_ids(tmp_path, ids, target, out=False) == 0
+    assert json.loads(capsys.readouterr().out)["molecule_id"] == ids[0]
+
+
+@pytest.mark.parametrize("out", [True, False], ids=["out", "stdout"])
+def test_explain_rejects_an_id_named_twice(tmp_path, capsys, out):
+    # documents and --out file names are keyed by id
+    assert explain_ids(tmp_path, ["toy-00000", "toy-00001", "toy-00000"], out=out) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --ids names molecule id(s) more than once: toy-00000\n"
+    assert not (tmp_path / "a").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "crossval", "explain", "fukui-compare"])
+@pytest.mark.parametrize("atom, bonds, message", [
+    ({"element": "C"}, [[0, k, 1] for k in range(1, 6)], "atom 0 degree 5 > 4"),
+    ({"element": "C", "implicit_h": 5}, [], "atom 0 implicit hydrogen count 5 > 4"),
+], ids=["five_bond_carbon", "five_hydrogens"])
+def test_every_dataset_command_rejects_an_atom_out_of_range_at_load(
+        workspace, capsys, command, atom, bonds, message):
+    # degree and hydrogen count are one-hots over 0-4: a record past them is
+    # a load error at its line, before any training or attribution
+    tmp, config_path, config = workspace
+    ckpt = tmp / "ckpt.json"
+    ckpt.write_text(json.dumps(untrained_checkpoint()))
+    bad = {"id": "bad", "atoms": [atom] + [{"element": "C"}] * len(bonds), "bonds": bonds,
+           "targets": {"size": 6, "oxygen_count": 0}, "fukui": [[0.1, 0.2]] * (1 + len(bonds))}
+    with open(config["dataset"], "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(bad) + "\n")
+    if command in ("train", "crossval"):
+        argv = [command, "--config", str(config_path)]
+    else:
+        argv = [command, "--checkpoint", str(ckpt), "--dataset", config["dataset"],
+                "--target", "size"]
+    assert main(argv + ["--out", str(tmp / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line 25: molecule 'bad': {message}\n"
+    assert not (tmp / "out").exists()
 
 
 def test_explain_rejects_reference_checkpoint(workspace, capsys):

@@ -266,15 +266,17 @@ def test_pack_edge_cases_match_the_reference():
 @pytest.mark.parametrize("bad_atoms, message", [
     ({2: "degree"}, "molecule 'bad': atom 2 degree 5 > 4"),
     ({1: "hydrogens"}, "molecule 'bad': atom 1 implicit hydrogen count 5 > 4"),
-    ({2: "both"}, "molecule 'bad': atom 2 degree 5 > 4"),
+    ({2: "both"}, "molecule 'bad': atom 2 implicit hydrogen count 5 > 4"),
     ({0: "hydrogens", 2: "degree"}, "molecule 'bad': atom 0 implicit hydrogen count 5 > 4"),
-    ({1: "degree", 3: "hydrogens"}, "molecule 'bad': atom 1 degree 5 > 4"),
-], ids=["degree", "hydrogens", "degree_before_hydrogens", "earlier_hydrogens",
-        "earlier_degree"])
+    ({1: "degree", 3: "hydrogens"}, "molecule 'bad': atom 3 implicit hydrogen count 5 > 4"),
+    ({1: "degree", 2: "degree"}, "molecule 'bad': atom 1 degree 5 > 4"),
+], ids=["degree", "hydrogens", "hydrogens_before_degree", "earlier_hydrogens",
+        "later_hydrogens_before_earlier_degree", "earlier_degree"])
 def test_pack_names_the_first_atom_out_of_range(bad_atoms, message):
     # Atoms 0-3 of 'bad' are a chain; a "degree" atom gets extra carbons up to
-    # five neighbours, a "hydrogens" atom five implicit hydrogens. Another bad
-    # molecule follows.
+    # five neighbours, a "hydrogens" atom five implicit hydrogens. Construction
+    # checks the atoms first, in order, then the degrees, so a graph that
+    # builds always packs.
     atoms = [Atom("C", 5 if bad_atoms.get(k) in ("hydrogens", "both") else 0) for k in range(4)]
     bonds = [(k, k + 1, 1) for k in range(3)]
     for k, kind in bad_atoms.items():
@@ -282,14 +284,8 @@ def test_pack_names_the_first_atom_out_of_range(bad_atoms, message):
             extra = 4 if k in (0, 3) else 3
             bonds += [(k, len(atoms) + e, 1) for e in range(extra)]
             atoms += [Atom("C")] * extra
-    bad = MolecularGraph(id="bad", atoms=atoms, bonds=bonds)
-    later = MolecularGraph(id="later", atoms=[Atom("C", 9)])
-    graphs = generate_graphs(ToySpec(num_molecules=6, seed=2))
-    graphs[3:3] = [bad, later]
     with pytest.raises(MoleculeError, match=f"^{re.escape(message)}$"):
-        PackedDataset(graphs)
-    with pytest.raises(MoleculeError, match=f"^{re.escape(message)}$"):
-        featurize(bad)
+        MolecularGraph(id="bad", atoms=atoms, bonds=bonds)
 
 
 def test_pack_from_the_cached_arrays_matches_the_reference():
@@ -312,13 +308,11 @@ def test_pack_from_the_cached_arrays_matches_the_reference():
 
 
 def test_pack_names_a_hydrogen_count_past_int64():
-    # the cached hydrogen column caps at 16; the message reads the atom's own count
+    # construction rejects the count, and the message reads the atom's own count
     count = 2 ** 70
-    big = MolecularGraph(id="big", atoms=[Atom("C"), Atom("C", count)], bonds=[(0, 1, 1)])
-    assert big.atom_codes[3 + 1] == 16
     with pytest.raises(MoleculeError, match=f"^molecule 'big': atom 1 implicit hydrogen count "
                                             f"{count} > 4$"):
-        pack_graphs([parse_smiles_subset("CC"), big])
+        MolecularGraph(id="big", atoms=[Atom("C"), Atom("C", count)], bonds=[(0, 1, 1)])
 
 
 @pytest.mark.parametrize("entry", [-1, 1, 2], ids=["negative", "past_padding", "far"])
@@ -410,23 +404,16 @@ def test_train_forward_over_a_kept_pack_matches_a_fresh_pack():
         assert sa.running_var.tobytes() == sb.running_var.tobytes(), name
 
 
-def test_pack_error_is_raised_on_every_one_molecule_pass():
-    model = init_model(ModelConfig(targets=["a"], conv_hidden=4, num_conv_layers=1, seed=0))
-    bad = MolecularGraph(id="bad", atoms=[Atom("C")] * 6, bonds=[(0, k, 1) for k in range(1, 6)])
-    for call in (lambda: model.forward_batch([bad]), lambda: model.predict([bad]),
-                 lambda: model.forward_batch([bad], mode="train")) * 2:
-        with pytest.raises(MoleculeError, match="^molecule 'bad': atom 0 degree 5 > 4$"):
-            call()
-        assert bad.kept_pack is None
-
-
 @pytest.mark.parametrize("n", [1, 2, 5, SLICE, SLICE + 1, 2 * SLICE + 1, 300])
 def test_predict_over_a_pack_matches_predict_over_the_list(n):
+    # predict packs each eval slice alone; a slice taken from one pack of the
+    # whole list, as train takes its batches, gives the same bits
     model = init_model(ModelConfig(targets=["a", "b"], conv_hidden=8, num_conv_layers=2, seed=3))
     graphs = generate_graphs(ToySpec(num_molecules=n, seed=14))
     packed = PackedDataset(graphs)
-    assert len(packed) == n and packed.graphs is graphs
-    assert model.predict(packed).tobytes() == model.predict(graphs).tobytes()
+    over_pack = np.concatenate([model.forward(*packed.take(np.arange(start, stop))).output.value
+                                for start, stop in slice_bounds(n, SLICE)])
+    assert over_pack.tobytes() == model.predict(graphs).tobytes()
 
 
 # ------------------------------------------------------------- fingerprint

