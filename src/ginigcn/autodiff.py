@@ -616,21 +616,16 @@ class BatchNormState:
     """
 
     def __init__(self, dim: int, momentum: float = 0.1, epsilon: float = 1e-5):
-        self.check_settings(momentum, epsilon)
+        if not 0.0 < momentum < 1.0:
+            raise ValueError("momentum must lie in (0, 1)")
+        if epsilon <= 0.0:
+            raise ValueError("epsilon must be positive")
         self.gamma = parameter(np.ones(dim))
         self.beta = parameter(np.zeros(dim))
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
         self.momentum = float(momentum)
         self.epsilon = float(epsilon)
-
-    @staticmethod
-    def check_settings(momentum: float, epsilon: float) -> None:
-        """Raise ValueError unless momentum lies in (0, 1) and epsilon is positive."""
-        if not 0.0 < momentum < 1.0:
-            raise ValueError("momentum must lie in (0, 1)")
-        if epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
 
     @property
     def dim(self) -> int:

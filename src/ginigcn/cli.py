@@ -160,7 +160,7 @@ def cmd_explain(args) -> int:
     if repeated:  # documents and --out file names are keyed by id
         raise ValueError(f"{args.dataset}: repeated molecule id(s): {', '.join(repeated)}")
     by_id = {g.id: g for g in graphs}
-    ids = [s for s in args.ids.split(",") if s] if args.ids else list(by_id)
+    ids = args.ids or list(by_id)
     unknown = [i for i in ids if i not in by_id]
     if unknown:
         raise ValueError(f"unknown molecule id(s): {', '.join(unknown)}")
@@ -289,13 +289,13 @@ def _selftest_checks():
         graphs = generate_graphs(ToySpec(num_molecules=5, seed=2))
         if parse_graph_file(format_graph_file(graphs)) != graphs:
             return False
-        model = init_model(ModelConfig(targets=["size"], conv_hidden=4, num_conv_layers=1, seed=0))
-        doc = checkpoint_document(model)
-        clone = model_from_document(json.loads(json.dumps(doc)))
-        return all(
-            np.array_equal(a.value, b.value)
-            for (_, a), (_, b) in zip(model.named_parameters(), clone.named_parameters())
-        )
+        for variant in ("explainable", "reference"):  # every kind of layout entry
+            doc = checkpoint_document(init_model(ModelConfig(
+                targets=["size"], variant=variant, conv_hidden=4, num_conv_layers=1,
+                intermediate_dim=3, seed=0)))
+            if checkpoint_document(model_from_document(json.loads(json.dumps(doc)))) != doc:
+                return False
+        return True
 
     yield "round trips", _round_trips
 
@@ -341,7 +341,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--checkpoint", type=Path, required=True)
     p.add_argument("--dataset", type=Path, required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--ids", default=None, help="comma-separated molecule ids (default: all)")
+    p.add_argument("--ids", action="append", metavar="ID",
+                   help="a molecule id, verbatim; repeat for more (default: all)")
     add_common(p)
     p.set_defaults(fn=cmd_explain)
 
@@ -376,6 +377,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except TrainingDivergence as e:
         print(f"error: training diverged: {e}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as e:  # a model or batch too large to allocate
+        print("error: out of memory" + (f": {e}" if str(e) else ""), file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -16,6 +16,7 @@ fingerprint and the output layer.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = [
     "SLICE",
     "slice_bounds",
     "eval_slices",
+    "parameter_shapes",
     "init_model",
     "fingerprint",
     "checkpoint_document",
@@ -247,40 +249,52 @@ def _packed(graphs: list[MolecularGraph]):
     return packed
 
 
-class Model:
-    """Layer stack with all parameters; built through :func:`init_model`."""
+def parameter_shapes(config: ModelConfig):
+    """Yield each parameter's checkpoint name and shape in checkpoint order: the one list of
+    the layout. Lazy, so a walk that stops early never lays out 10**12 claimed layers."""
+    def layer(name, d_in, d_out, kinds=("bias", "gamma", "beta")):  # gamma, beta: batch norm
+        yield f"{name}.weight", (d_in, d_out)
+        yield from ((f"{name}.{kind}", (d_out,)) for kind in kinds)
 
-    def __init__(self, config: ModelConfig):
+    h = config.conv_hidden
+    for ell in range(config.num_conv_layers):
+        yield from layer(f"conv{ell}", h if ell else FEATURE_DIM, h)
+    d_in = config.fingerprint_dim
+    if config.variant == VARIANT_REFERENCE:
+        yield from layer("intermediate", d_in, config.intermediate_dim)
+        d_in = config.intermediate_dim
+    yield from layer("output", d_in, config.num_targets, ("bias",))
+
+
+class Model:
+    """The layer stack, built from ``values``: one array per :func:`parameter_shapes` name.
+
+    ``params`` holds them as trainable nodes by name; ``bn`` maps each
+    normalized layer to its batch norm state (identity unless given), whose
+    gamma and beta are that layer's parameters.
+    """
+
+    def __init__(self, config: ModelConfig, values, bn=None):
         self.config = config
-        self.conv_weights: list[ad.Node] = []
-        self.conv_biases: list[ad.Node] = []
-        self.conv_bn: list[ad.BatchNormState] = []
-        self.mid_weight: ad.Node | None = None
-        self.mid_bias: ad.Node | None = None
-        self.mid_bn: ad.BatchNormState | None = None
-        self.out_weight: ad.Node | None = None
-        self.out_bias: ad.Node | None = None
+        p = self.params = {name: ad.parameter(values[name])
+                           for name, _ in parameter_shapes(config)}
+        layers = dict.fromkeys(name.rsplit(".", 1)[0] for name in p)
+        self.bn = bn or {layer: ad.BatchNormState(p[f"{layer}.gamma"].value.size)
+                         for layer in layers if f"{layer}.gamma" in p}
+        for layer, state in self.bn.items():
+            state.gamma, state.beta = p[f"{layer}.gamma"], p[f"{layer}.beta"]
+        # what forward reads, built once: (weight, bias, batch norm) per layer
+        view = [(p[f"{layer}.weight"], p[f"{layer}.bias"], self.bn.get(layer)) for layer in layers]
+        self._convs, self._hidden = view[:config.num_conv_layers], view[config.num_conv_layers:-1]
+        self.out_weight, self.out_bias, _ = view[-1]
 
     @property
     def is_explainable(self) -> bool:
         return self.config.variant == VARIANT_EXPLAINABLE
 
     def named_parameters(self) -> list[tuple[str, ad.Node]]:
-        """All trainable parameters in a fixed, checkpoint-stable order."""
-        named = []
-        for ell in range(self.config.num_conv_layers):
-            named.append((f"conv{ell}.weight", self.conv_weights[ell]))
-            named.append((f"conv{ell}.bias", self.conv_biases[ell]))
-            named.append((f"conv{ell}.gamma", self.conv_bn[ell].gamma))
-            named.append((f"conv{ell}.beta", self.conv_bn[ell].beta))
-        if self.config.variant == VARIANT_REFERENCE:
-            named.append(("intermediate.weight", self.mid_weight))
-            named.append(("intermediate.bias", self.mid_bias))
-            named.append(("intermediate.gamma", self.mid_bn.gamma))
-            named.append(("intermediate.beta", self.mid_bn.beta))
-        named.append(("output.weight", self.out_weight))
-        named.append(("output.bias", self.out_bias))
-        return named
+        """All trainable parameters in checkpoint order (:func:`parameter_shapes`)."""
+        return list(self.params.items())
 
     def parameters(self) -> list[ad.Node]:
         return [node for _, node in self.named_parameters()]
@@ -289,10 +303,7 @@ class Model:
         return sum(node.value.size for node in self.parameters())
 
     def batch_norm_states(self) -> list[tuple[str, ad.BatchNormState]]:
-        states = [(f"conv{ell}", st) for ell, st in enumerate(self.conv_bn)]
-        if self.mid_bn is not None:
-            states.append(("intermediate", self.mid_bn))
-        return states
+        return list(self.bn.items())
 
     def forward_batch(self, graphs: list[MolecularGraph], mode: str = "eval",
                       arena=None) -> BatchForward:
@@ -316,14 +327,11 @@ class Model:
         recording = ad._set_recording(mode != "eval")
         try:
             h = ad.constant(x)
-            for ell in range(self.config.num_conv_layers):
-                h = ad.conv(h, neighbors, self.conv_weights[ell], self.conv_biases[ell],
-                            self.conv_bn[ell], mode, arena)
-            fp = fingerprint(h, atoms)
-            head = fp
-            if self.config.variant == VARIANT_REFERENCE:
-                head = ad.relu(ad.batch_norm(ad.linear(fp, self.mid_weight, self.mid_bias),
-                                             self.mid_bn, mode))
+            for weight, bias, state in self._convs:
+                h = ad.conv(h, neighbors, weight, bias, state, mode, arena)
+            fp = head = fingerprint(h, atoms)
+            for weight, bias, state in self._hidden:  # the reference variant's intermediate layer
+                head = ad.relu(ad.batch_norm(ad.linear(head, weight, bias), state, mode))
             out = ad.linear(head, self.out_weight, self.out_bias)
         finally:
             ad._set_recording(recording)
@@ -360,24 +368,11 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 
 def init_model(config: ModelConfig) -> Model:
-    """Seeded Glorot-uniform weights, zero biases, identity batch norm."""
+    """Seeded Glorot-uniform weights (drawn in layout order), zero biases, identity batch norm."""
     rng = np.random.default_rng(config.seed)
-    model = Model(config)
-    d_in = FEATURE_DIM
-    for _ in range(config.num_conv_layers):
-        model.conv_weights.append(ad.parameter(_glorot(rng, d_in, config.conv_hidden)))
-        model.conv_biases.append(ad.parameter(np.zeros(config.conv_hidden)))
-        model.conv_bn.append(ad.BatchNormState(config.conv_hidden))
-        d_in = config.conv_hidden
-    head_in = config.fingerprint_dim
-    if config.variant == VARIANT_REFERENCE:
-        model.mid_weight = ad.parameter(_glorot(rng, head_in, config.intermediate_dim))
-        model.mid_bias = ad.parameter(np.zeros(config.intermediate_dim))
-        model.mid_bn = ad.BatchNormState(config.intermediate_dim)
-        head_in = config.intermediate_dim
-    model.out_weight = ad.parameter(_glorot(rng, head_in, config.num_targets))
-    model.out_bias = ad.parameter(np.zeros(config.num_targets))
-    return model
+    return Model(config, {name: _glorot(rng, *shape) if name.endswith(".weight")
+                          else np.full(shape, 1.0 if name.endswith(".gamma") else 0.0)
+                          for name, shape in parameter_shapes(config)})
 
 
 def checkpoint_document(model: Model) -> dict:
@@ -415,42 +410,47 @@ def _numbers(entry, key: str, what: str, size: int) -> np.ndarray:
 
 
 def model_from_document(doc: dict) -> Model:
-    """Rebuild a model from a checkpoint document whose numbers follow the run configs' rule."""
+    """Rebuild a model from a checkpoint document whose numbers follow the run configs' rule.
+
+    Each layout entry's shape and data count are checked before its data is converted; the
+    model is built once, after every entry and batch norm state has passed."""
     if not isinstance(doc, dict):
         raise CheckpointError("checkpoint must be a JSON object")
     version = doc.get("format_version")
     if type(version) is not int or version != CHECKPOINT_FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint format_version {version!r}")
     try:
-        model = init_model(ModelConfig(**doc["config"]))
+        config = ModelConfig(**doc["config"])
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"invalid checkpoint config: {e}") from None
     params, bn = doc.get("parameters", {}), doc.get("batch_norm", {})
     if not isinstance(params, dict) or not isinstance(bn, dict):
         raise CheckpointError("checkpoint 'parameters' and 'batch_norm' must be objects")
-    for name, node in model.named_parameters():
+    values, states = {}, {}
+    for name, shape in parameter_shapes(config):
         if name not in params:
             raise CheckpointError(f"checkpoint missing parameter {name!r}")
-        entry, what, shape = params[name], f"parameter {name!r}", node.value.shape
-        node.value = _numbers(entry, "data", what, node.value.size).reshape(shape)
-        dims = entry.get("shape")
+        entry, what = params[name], f"parameter {name!r}"
+        dims = entry.get("shape") if isinstance(entry, dict) else None
         if dims != list(shape) or set(map(type, dims)) != {int}:  # [1.0] == [True] == [1]
             raise CheckpointError(f"{what} has shape {dims!r}, expected {shape}")
-    for name, state in model.batch_norm_states():
+        values[name] = _numbers(entry, "data", what, math.prod(shape)).reshape(shape)
+    norms = [(n.rsplit(".", 1)[0], len(v)) for n, v in values.items() if n.endswith(".gamma")]
+    for name, dim in norms:
         if name not in bn:
             raise CheckpointError(f"checkpoint missing batch_norm state {name!r}")
         entry, what = bn[name], f"batch_norm state {name!r}"
-        state.running_mean = _numbers(entry, "running_mean", what, state.dim)
-        state.running_var = _numbers(entry, "running_var", what, state.dim)
+        running = [_numbers(entry, key, what, dim) for key in ("running_mean", "running_var")]
         try:
-            state.momentum = finite_number("momentum", entry.get("momentum"))
-            state.epsilon = finite_number("epsilon", entry.get("epsilon"))
-            ad.BatchNormState.check_settings(state.momentum, state.epsilon)
+            state = states[name] = ad.BatchNormState(
+                dim, finite_number("momentum", entry.get("momentum")),
+                finite_number("epsilon", entry.get("epsilon")))
         except ValueError as e:
             raise CheckpointError(f"{what}: {e}") from None
-        if np.any(state.running_var < 0):
-            raise CheckpointError(f"batch_norm state {name!r} has negative running variance")
-    return model
+        if np.any(running[1] < 0):
+            raise CheckpointError(f"{what} has negative running variance")
+        state.running_mean, state.running_var = running
+    return Model(config, values, states)
 
 
 def save_checkpoint(model: Model, path) -> None:

@@ -1,10 +1,12 @@
 """Shared test helpers: packed full-model loss for finite-difference checks."""
 
+import math
+
 import numpy as np
 
 from ginigcn import autodiff as ad
 from ginigcn.gini import GiniConfig, regularized_loss
-from ginigcn.model import ModelConfig, PackedDataset, init_model
+from ginigcn.model import ModelConfig, PackedDataset, init_model, parameter_shapes
 from ginigcn.molecules import MolecularGraph, parse_smiles_subset
 from ginigcn.toydata import planted_value
 from ginigcn.training import multitask_loss, target_matrix, standardize_targets
@@ -52,12 +54,11 @@ class PackedLoss:
         assert config.variant == "explainable"
         self.config = config
         self.gini_cfg = gini_cfg
-        template = init_model(config)
         self.spans = []
         offset = 0
-        for name, p in template.named_parameters():
-            size = p.value.size
-            self.spans.append((name, offset, offset + size, p.value.shape))
+        for name, shape in parameter_shapes(config):
+            size = math.prod(shape)
+            self.spans.append((name, offset, offset + size, shape))
             offset += size
         self.size = offset
         self.x, self.neighbors, self.atoms = PackedDataset(graphs).take(range(len(graphs)))

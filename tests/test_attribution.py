@@ -317,7 +317,7 @@ def test_mean_block_partial_sums_linear():
     # batch-norm shift kills channel 0 at every atom, so m_0 = 0 and that
     # channel must share out nothing rather than 0 / 0.
     model = small_model(hidden=5, layers=2)
-    model.conv_bn[1].beta.value = np.array([-1e3, 0.0, 0.0, 0.0, 0.0])
+    model.params["conv1.beta"].value = np.array([-1e3, 0.0, 0.0, 0.0, 0.0])
     w = model.out_weight.value.copy()
     w[5:, 0] = 0.0
     model.out_weight.value = w

@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from dataclasses import asdict
@@ -159,16 +160,20 @@ def test_bad_run_config_value_exits_1(workspace, capsys, section, field, value):
     assert not (tmp / "run" / "checkpoint.json").exists()
 
 
+def run_cli(argv, **kwargs):
+    """Run ``python -m ginigcn.cli`` on ``argv`` in a child process, capturing its output."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "ginigcn.cli", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), **kwargs)
+
+
 def test_diverging_run_exits_2_with_one_line(workspace):
     # numpy overflows on the way to the non-finite loss; only the error line shows
     tmp, config_path, config = workspace
     config["train"]["learning_rate"] = 1e300
     rewrite(config_path, config)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ginigcn.cli", "train", "--config", str(config_path)],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    proc = run_cli(["train", "--config", str(config_path)], timeout=120)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: training diverged: ") and proc.stderr.count("\n") == 1
@@ -286,17 +291,21 @@ def test_explain_repeated_id_exits_1(workspace, capsys):
 
 
 def explain_ids(tmp_path, ids, target="size", out=True):
-    """Run explain on an untrained checkpoint and three toy molecules, the first
-    renamed to ``ids[0]``; return the exit code."""
+    """Run explain on an untrained checkpoint and three toy molecules with one
+    ``--ids`` per entry of ``ids``; the first molecules are renamed to the
+    distinct ids, in order. Return the exit code."""
     targets = list(dict.fromkeys(["size", target]))
     model = init_model(ModelConfig(targets=targets, conv_hidden=2, num_conv_layers=1))
     ckpt = tmp_path / "ckpt.json"
     ckpt.write_text(json.dumps(checkpoint_document(model)))
     graphs = generate_graphs(ToySpec(num_molecules=3, seed=5))
-    graphs[0].id = ids[0]
+    for graph, mol_id in zip(graphs, dict.fromkeys(ids)):
+        graph.id = mol_id
     write_dataset(tmp_path / "data.jsonl", graphs)
     argv = ["explain", "--checkpoint", str(ckpt), "--dataset", str(tmp_path / "data.jsonl"),
-            "--target", target, "--ids", ",".join(ids)]
+            "--target", target]
+    for mol_id in ids:
+        argv += ["--ids", mol_id]
     if out:
         argv += ["--out", str(tmp_path / "a" / "b" / "expl")]
     return main(argv)
@@ -330,6 +339,60 @@ def test_explain_rejects_an_id_named_twice(tmp_path, capsys, out):
     assert captured.out == ""
     assert captured.err == "error: --ids names molecule id(s) more than once: toy-00000\n"
     assert not (tmp_path / "a").exists()
+
+
+def test_explain_ids_are_taken_verbatim(tmp_path, capsys):
+    # --ids was split on commas, so the id "a,b" could not be selected
+    assert explain_ids(tmp_path, ["a,b", "c"]) == 0
+    out = tmp_path / "a" / "b" / "expl"
+    assert sorted(p.name for p in out.iterdir()) == ["attribution_a,b_size.json",
+                                                     "attribution_c_size.json"]
+    for mol_id in ("a,b", "c"):
+        doc = json.loads((out / f"attribution_{mol_id}_size.json").read_text())
+        assert doc["molecule_id"] == mol_id
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["train", "crossval"])
+def test_a_model_too_large_to_allocate_exits_2_with_one_line(workspace, capsys, command):
+    # the first weight matrix, 16 x 10**15 float64, cannot be allocated, so
+    # this fails at once and allocates nothing
+    tmp, config_path, config = workspace
+    config["model"]["conv_hidden"] = 10 ** 15
+    rewrite(config_path, config)
+    assert main([command, "--config", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: out of memory: ") and captured.err.count("\n") == 1
+    assert not [p for p in (tmp / "run").iterdir()]
+
+
+@pytest.mark.parametrize("command", ["gini-report", "explain", "fukui-compare"])
+@pytest.mark.parametrize("field, value, message", [
+    ("conv_hidden", 10 ** 15,
+     "parameter 'conv0.weight' has shape [16, 2], expected (16, 1000000000000000)"),
+    ("num_conv_layers", 10 ** 12, "checkpoint missing parameter 'conv1.weight'"),
+], ids=["wide", "deep"])
+def test_a_checkpoint_claiming_a_huge_model_exits_1_at_once(workspace, command, field, value,
+                                                            message):
+    # the loader built a random model of the claimed size before reading the
+    # data: the width ended in a traceback, the depth drew layers until memory
+    # ran out. The child runs capped at 1 GiB of address space, so a loader
+    # that allocates what the document claims fails here and not the machine.
+    tmp, _, config = workspace
+    doc = untrained_checkpoint()
+    doc["config"][field] = value
+    ckpt = tmp / "huge.json"
+    ckpt.write_text(json.dumps(doc))
+    argv = [command, "--checkpoint", str(ckpt)]
+    if command != "gini-report":
+        argv += ["--dataset", config["dataset"], "--target", "size"]
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = run_cli(argv, timeout=60, preexec_fn=cap_memory)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("command", ["train", "crossval", "explain", "fukui-compare"])

@@ -24,6 +24,12 @@ def test_every_module_all_name_resolves():
         assert missing == [], module.__name__
 
 
+def test_the_parameter_layout_is_exported():
+    # the one list of checkpoint names and shapes that the model, init and the loader walk
+    from ginigcn import model
+    assert {"parameter_shapes", "Model", "init_model", "model_from_document"} <= set(model.__all__)
+
+
 def test_every_name_the_package_imports_resolves():
     tree = ast.parse(Path(ginigcn.__file__).read_text(encoding="utf-8"))
     imported = [(node.module, alias.name) for node in ast.walk(tree)

@@ -14,6 +14,7 @@ from ginigcn import model as model_module
 from ginigcn.model import (
     SLICE,
     CheckpointError,
+    Model,
     ModelConfig,
     checkpoint_document,
     eval_slices,
@@ -21,6 +22,7 @@ from ginigcn.model import (
     init_model,
     model_from_document,
     PackedDataset,
+    parameter_shapes,
     slice_bounds,
 )
 from ginigcn.gini import GiniConfig
@@ -81,8 +83,7 @@ def test_output_weight_shape():
 
 def test_explainable_has_no_intermediate_layer():
     model = init_model(ModelConfig(targets=["a"], variant="explainable"))
-    assert model.mid_weight is None
-    assert model.mid_bn is None
+    assert list(model.bn) == ["conv0", "conv1", "conv2"]
     names = [n for n, _ in model.named_parameters()]
     assert not any(n.startswith("intermediate") for n in names)
 
@@ -98,15 +99,57 @@ def test_variant_parameter_count_difference():
     assert ref.parameter_count() - expl.parameter_count() == intermediate
 
 
+@pytest.mark.parametrize("variant", ["explainable", "reference"])
+def test_parameter_shapes_is_the_layout_the_model_holds(variant):
+    cfg = ModelConfig(targets=["a", "b"], variant=variant, conv_hidden=3, num_conv_layers=2,
+                      intermediate_dim=5, seed=0)
+    want = [("conv0.weight", (16, 3)), ("conv0.bias", (3,)), ("conv0.gamma", (3,)),
+            ("conv0.beta", (3,)), ("conv1.weight", (3, 3)), ("conv1.bias", (3,)),
+            ("conv1.gamma", (3,)), ("conv1.beta", (3,))]
+    if variant == "reference":
+        want += [("intermediate.weight", (6, 5)), ("intermediate.bias", (5,)),
+                 ("intermediate.gamma", (5,)), ("intermediate.beta", (5,)),
+                 ("output.weight", (5, 2))]
+    else:
+        want += [("output.weight", (6, 2))]
+    want += [("output.bias", (2,))]
+    assert list(parameter_shapes(cfg)) == want
+    model = init_model(cfg)
+    assert [(name, node.value.shape) for name, node in model.named_parameters()] == want
+    assert list(checkpoint_document(model)["parameters"]) == [name for name, _ in want]
+    norms = ["conv0", "conv1"] + (["intermediate"] if variant == "reference" else [])
+    assert [name for name, _ in model.batch_norm_states()] == norms
+    for name, state in model.batch_norm_states():
+        assert state.gamma is model.params[f"{name}.gamma"]
+        assert state.beta is model.params[f"{name}.beta"]
+    assert model.out_weight is model.params["output.weight"]
+    assert model.out_bias is model.params["output.bias"]
+
+
+@pytest.mark.parametrize("variant", ["explainable", "reference"])
+def test_init_draws_the_weights_in_layout_order_from_one_generator(variant):
+    cfg = ModelConfig(targets=["a"], variant=variant, conv_hidden=4, num_conv_layers=3,
+                      intermediate_dim=6, seed=17)
+    model = init_model(cfg)
+    rng = np.random.default_rng(17)
+    for name, shape in parameter_shapes(cfg):
+        if name.endswith(".weight"):
+            a = np.sqrt(6.0 / sum(shape))
+            want = rng.uniform(-a, a, size=shape)
+        else:
+            want = np.full(shape, 1.0 if name.endswith(".gamma") else 0.0)
+        assert model.params[name].value.tobytes() == want.tobytes(), name
+
+
 def test_init_bounds_are_glorot():
     cfg = ModelConfig(targets=["a"], conv_hidden=8, num_conv_layers=1, seed=5)
     model = init_model(cfg)
-    w = model.conv_weights[0].value
+    w = model.params["conv0.weight"].value
     a = np.sqrt(6.0 / (16 + 8))
     assert np.all(np.abs(w) <= a)
-    assert np.all(model.conv_biases[0].value == 0.0)
-    assert np.all(model.conv_bn[0].gamma.value == 1.0)
-    assert np.all(model.conv_bn[0].beta.value == 0.0)
+    assert np.all(model.params["conv0.bias"].value == 0.0)
+    assert np.all(model.bn["conv0"].gamma.value == 1.0)
+    assert np.all(model.bn["conv0"].beta.value == 0.0)
 
 
 # ------------------------------------------------------------ conv forward
@@ -529,13 +572,12 @@ def test_prediction_permutation_invariance_100_trials():
 def test_hand_model_two_atom_molecule():
     # 1 conv layer, 1 channel, identity-ish bn, hand weights all the way out
     cfg = ModelConfig(targets=["y"], conv_hidden=1, num_conv_layers=1, seed=0)
-    model = init_model(cfg)
-    model.conv_weights[0].value = np.zeros((16, 1))
-    model.conv_weights[0].value[1, 0] = 1.0  # picks carbon one-hot
-    model.conv_biases[0].value = np.array([0.25])
-    model.conv_bn[0] = make_identity_bn(1)
-    model.out_weight.value = np.array([[2.0], [3.0]])
-    model.out_bias.value = np.array([0.5])
+    w = np.zeros((16, 1))
+    w[1, 0] = 1.0  # picks carbon one-hot
+    values = {"conv0.weight": w, "conv0.bias": np.array([0.25]), "conv0.gamma": np.ones(1),
+              "conv0.beta": np.zeros(1), "output.weight": np.array([[2.0], [3.0]]),
+              "output.bias": np.array([0.5])}
+    model = Model(cfg, values, {"conv0": make_identity_bn(1)})
     g = parse_smiles_subset("CC")
     # features: carbon flag 1 for both atoms; neighbor sum doubles it -> 2
     # affine: 2*1 + 0.25 = 2.25 per atom; relu/bn no-op
@@ -683,7 +725,7 @@ def test_eval_forward_records_no_tape(variant):
         out = m.forward_batch(graphs, mode="train").output
         assert out.requires_grad and out._parents
         ad.backward(ad.reduce(out, "sum"))
-    assert np.any(model.conv_weights[0].grad != 0.0)
+    assert np.any(model.params["conv0.weight"].grad != 0.0)
     for (name, a), (_, b) in zip(model.named_parameters(), fresh.named_parameters()):
         assert np.array_equal(a.grad, b.grad), name
 
@@ -730,7 +772,7 @@ def test_eval_pass_on_another_thread_leaves_this_threads_tape_on(monkeypatch):
     assert out.requires_grad and out._parents
     assert not evals[0].output.requires_grad and evals[0].output._parents == ()
     ad.backward(ad.reduce(out, "sum"))
-    assert np.any(model.conv_weights[0].grad != 0.0)
+    assert np.any(model.params["conv0.weight"].grad != 0.0)
 
 
 def test_empty_batch_rejected():
@@ -756,6 +798,44 @@ def test_checkpoint_round_trip_bit_exact():
         assert np.array_equal(sa.running_var, sb.running_var), name
     # identical predictions after reload
     assert np.array_equal(model.predict(graphs), clone.predict(graphs))
+
+
+@pytest.mark.parametrize("variant", ["explainable", "reference"])
+def test_loader_builds_the_model_without_drawing_a_weight(monkeypatch, variant):
+    model = init_model(ModelConfig(targets=["a", "b"], variant=variant, conv_hidden=5,
+                                   num_conv_layers=2, intermediate_dim=3, seed=9))
+    graphs = generate_graphs(ToySpec(num_molecules=6, seed=3))
+    model.forward_batch(graphs, mode="train")  # running stats off their start
+    doc = json.loads(json.dumps(checkpoint_document(model)))
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the loader drew random numbers")
+
+    monkeypatch.setattr(model_module, "_glorot", no_draw)
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    clone = model_from_document(doc)
+    assert checkpoint_document(clone) == doc
+    assert clone.predict(graphs).tobytes() == model.predict(graphs).tobytes()
+
+
+def test_loader_checks_a_claimed_width_against_the_data_before_allocating(monkeypatch):
+    # the loader allocated a random model of the claimed width first, and a
+    # width of 10**15 ended in numpy's out-of-memory traceback
+    source = init_model(ModelConfig(targets=["a"], conv_hidden=2, num_conv_layers=1))
+    monkeypatch.setattr(model_module, "_glorot", lambda *args: pytest.fail("drew weights"))
+    doc = checkpoint_document(source)
+    doc["config"]["conv_hidden"] = 10 ** 15
+    with pytest.raises(CheckpointError, match=re.escape(
+            "parameter 'conv0.weight' has shape [16, 2], expected (16, 1000000000000000)")):
+        model_from_document(doc)
+    doc = checkpoint_document(source)
+    doc["parameters"]["conv0.weight"]["shape"] = [16, 10 ** 15]
+    with pytest.raises(CheckpointError, match="has shape"):
+        model_from_document(doc)
+    doc["parameters"]["conv0.weight"]["shape"] = [16, 2]
+    doc["parameters"]["conv0.weight"]["data"] = [0.5] * 33
+    with pytest.raises(CheckpointError, match="has 33 'data' values, expected 32"):
+        model_from_document(doc)
 
 
 @pytest.mark.parametrize("variant", ["explainable", "reference"])
@@ -836,6 +916,17 @@ def test_checkpoint_rejects_values_that_are_not_json_numbers(path, bad):
         parent = parent[key]
     parent[path[-1]] = bad
     with pytest.raises(CheckpointError, match=".*".join(path[1:] or path)):
+        model_from_document(doc)
+
+
+@pytest.mark.parametrize("section, name", [("parameters", "conv0.weight"),
+                                           ("batch_norm", "conv0")])
+@pytest.mark.parametrize("bad", [5, [1.0], None], ids=["number", "list", "null"])
+def test_checkpoint_rejects_an_entry_that_is_not_an_object(section, name, bad):
+    doc = checkpoint_document(init_model(ModelConfig(targets=["a"], conv_hidden=2,
+                                                     num_conv_layers=1)))
+    doc[section][name] = bad
+    with pytest.raises(CheckpointError, match=re.escape(name)):
         model_from_document(doc)
 
 
