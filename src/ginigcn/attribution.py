@@ -14,7 +14,11 @@ bits as one molecule at a time (each prediction is the molecule's own
 fingerprint row times the output weights plus the bias). Callers that map a
 whole dataset take it in :func:`ginigcn.model.eval_slices`, the slices of
 ``model.SLICE`` molecules that ``Model.predict`` also runs, which keeps the
-same bits and bounds memory by one slice's forward pass and maps.
+same bits and bounds memory by one slice's forward pass and maps. A
+molecule explained one target at a time (:func:`per_atom_map`,
+:func:`contribution_terms`) runs one eval forward pass for all its targets:
+the model keeps its last one-molecule pass while nothing it read has
+changed (``Model.forward_batch``).
 
 Condensed Fukui functions are consumed from per-atom electron populations
 computed externally; this module only does the subtraction and the rank
@@ -182,7 +186,9 @@ def top_representations(model: Model, target: str, mass_fraction: float = 0.9) -
     the returned sets are nested as mass_fraction grows. The set is computed
     afresh on every call, not kept: the output weights change in place, as
     each Adam step updates the flat buffer they view and as tests edit them,
-    so a kept set could go stale unseen. The sort costs a few µs.
+    so a kept set could go stale unseen. The sort costs a few µs, less than
+    a key over the weights' bytes such as the one that guards the model's
+    kept forward pass (about 12 µs), so it is not kept behind one.
     """
     (j,) = _columns(model, [target])
     count, order = _by_magnitude(model.out_weight.value[:, j], mass_fraction)

@@ -612,20 +612,26 @@ class BatchNormState:
     arrays updated in train mode with PyTorch-style momentum:
     ``running = (1 - momentum) * running + momentum * batch``. Train-mode
     normalization uses the biased (divide by n) batch variance; the same
-    biased variance feeds the running statistics.
+    biased variance feeds the running statistics. ``gamma`` and ``beta``, if
+    given, are the nodes to use; otherwise new ones and zeros of size ``dim``.
     """
 
-    def __init__(self, dim: int, momentum: float = 0.1, epsilon: float = 1e-5):
+    def __init__(self, dim: int, momentum: float = 0.1, epsilon: float = 1e-5,
+                 gamma: Node | None = None, beta: Node | None = None):
+        self.momentum, self.epsilon = self.checked_rates(momentum, epsilon)
+        self.gamma = parameter(np.ones(dim)) if gamma is None else gamma
+        self.beta = parameter(np.zeros(dim)) if beta is None else beta
+        self.running_mean = np.zeros(dim)
+        self.running_var = np.ones(dim)
+
+    @staticmethod
+    def checked_rates(momentum: float, epsilon: float) -> tuple[float, float]:
+        """``(momentum, epsilon)`` as floats: momentum must lie in (0, 1), epsilon be positive."""
         if not 0.0 < momentum < 1.0:
             raise ValueError("momentum must lie in (0, 1)")
         if epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
-        self.gamma = parameter(np.ones(dim))
-        self.beta = parameter(np.zeros(dim))
-        self.running_mean = np.zeros(dim)
-        self.running_var = np.ones(dim)
-        self.momentum = float(momentum)
-        self.epsilon = float(epsilon)
+        return float(momentum), float(epsilon)
 
     @property
     def dim(self) -> int:

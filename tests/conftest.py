@@ -85,9 +85,8 @@ class PackedLoss:
         for ell in range(cfg.num_conv_layers):
             agg = ad.neighbor_sum(h, self.neighbors)
             pre = ad.linear(agg, pieces[f"conv{ell}.weight"], pieces[f"conv{ell}.bias"])
-            state = ad.BatchNormState(cfg.conv_hidden)
-            state.gamma = pieces[f"conv{ell}.gamma"]
-            state.beta = pieces[f"conv{ell}.beta"]
+            state = ad.BatchNormState(cfg.conv_hidden, gamma=pieces[f"conv{ell}.gamma"],
+                                      beta=pieces[f"conv{ell}.beta"])
             bn_out = ad.batch_norm(pre, state, "train")
             bn_margin = min(bn_margin, float(np.abs(bn_out.value).min()))
             h = ad.relu(bn_out)

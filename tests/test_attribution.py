@@ -1,6 +1,8 @@
 """Attribution decomposition, Fukui functions, and rank correlation tests."""
 
 import itertools
+import json
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +22,8 @@ from ginigcn.attribution import (
     top_representations,
 )
 from ginigcn.gini import GiniConfig
-from ginigcn.model import Model, ModelConfig, init_model
+from ginigcn.model import (Model, ModelConfig, checkpoint_document, init_model,
+                           model_from_document)
 from ginigcn.molecules import parse_smiles_subset
 from ginigcn.toydata import ToySpec, generate_graphs
 from ginigcn.training import TrainConfig, train
@@ -264,6 +267,142 @@ def test_chunked_maps_equal_one_pass(monkeypatch):
         assert all(repr(c) == repr(w) for c, w in zip(chunked, whole))
     with pytest.raises(ValueError, match="at least one"):
         list(attribution._chunked_atom_maps(model, [], ["a"]))
+
+
+# ------------------------------------------------------------ kept pass
+
+
+TOY = ["oxygen_count", "size", "branch_count"]
+
+
+def kept_pass_setup():
+    """A checkpoint document with moved running statistics, and a molecule of H atoms."""
+    model = small_model(targets=TOY, hidden=6, layers=2, seed=7)
+    model.forward_batch(generate_graphs(ToySpec(num_molecules=8, seed=2)), mode="train")
+    g = parse_smiles_subset("CC(C)OCN")
+    assert g.num_atoms == model.config.conv_hidden
+    return json.loads(json.dumps(checkpoint_document(model))), g
+
+
+def counted_forward(monkeypatch):
+    calls = []
+    forward = Model.forward
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(Model, "forward", counted)
+    return calls
+
+
+def retrain(model):
+    train(model, generate_graphs(ToySpec(num_molecules=12, seed=6)),
+          TrainConfig(epochs=1, batch_size=6, learning_rate=3e-3, gini=GiniConfig(m=10.0)))
+
+
+def reshape_running_var(model):
+    # the same bytes as an (H, 1) column: with H atoms it scales rows, not channels
+    state = model.bn["conv1"]
+    state.running_var = state.running_var.reshape(-1, 1)
+
+
+@pytest.mark.parametrize("change", [
+    lambda m: m.params["conv1.weight"].value.__imul__(1.25),
+    lambda m: setattr(m.params["conv1.beta"], "value", m.params["conv1.beta"].value + 0.5),
+    retrain,
+    lambda m: m.bn["conv0"].running_var.__imul__(3.0),
+    lambda m: setattr(m.bn["conv1"], "epsilon", 0.5),
+    reshape_running_var,
+    lambda m: setattr(m.bn["conv0"], "running_mean", m.bn["conv0"].running_mean.view(np.int64)),
+], ids=["weight_in_place", "rebound_beta", "train_epoch", "running_var_in_place",
+        "epsilon", "same_bytes_other_shape", "same_bytes_other_dtype"])
+def test_a_changed_model_misses_the_kept_pass(change):
+    # the model keeps its last one-molecule pass; every change to what the
+    # pass reads must miss it, so the map is that of a fresh model changed alike
+    doc, g = kept_pass_setup()
+    model = model_from_document(doc)
+    before = [repr(per_atom_map(model, g, t)) for t in TOY]
+    change(model)
+    fresh = model_from_document(doc)
+    change(fresh)
+    want = [repr(per_atom_map(fresh, g, t)) for t in TOY]
+    assert want != before
+    assert [repr(per_atom_map(model, g, t)) for t in TOY] == want
+    assert [repr(contribution_terms(model, g, t)) for t in TOY] == [
+        repr(contribution_terms(fresh, g, t)) for t in TOY]
+
+
+def test_one_molecule_is_explained_from_one_pass_and_a_twin_misses(monkeypatch):
+    doc, g = kept_pass_setup()
+    model = model_from_document(doc)
+    calls = counted_forward(monkeypatch)
+    maps = [repr(per_atom_map(model, g, t)) for t in TOY]
+    maps += [repr(contribution_terms(model, g, t)) for t in TOY]
+    assert len(calls) == 1
+    twin = replace(g)  # equal, but another object: it may have been built otherwise
+    assert [repr(per_atom_map(model, twin, t)) for t in TOY] == maps[:3]
+    assert len(calls) == 2
+    per_atom_map(model, g, "size")
+    assert len(calls) == 3
+    # one entry per model: the last molecule's
+    graphs = generate_graphs(ToySpec(num_molecules=20, seed=9))
+    for h in graphs:
+        per_atom_map(model, h, "oxygen_count")
+    assert model._kept_pass[0] is graphs[-1]
+
+
+def test_predict_train_mode_and_batches_leave_the_kept_pass(monkeypatch):
+    doc, g = kept_pass_setup()
+    model = model_from_document(doc)
+    want = repr(per_atom_map(model, g, "size"))
+    kept = model._kept_pass
+    calls = counted_forward(monkeypatch)
+    model.predict([g])
+    atom_maps(model, [g, parse_smiles_subset("CCO")], ["size"])
+    model.forward_batch([g], arena=np.empty(1000))
+    assert model._kept_pass is kept and len(calls) == 3
+    assert repr(per_atom_map(model, g, "size")) == want
+    assert len(calls) == 3  # a hit
+    model.forward_batch([g], mode="train")  # moves the running statistics
+    assert model._kept_pass is kept
+    assert repr(per_atom_map(model, g, "size")) != want
+
+
+def test_the_kept_pass_is_read_only():
+    doc, g = kept_pass_setup()
+    model = model_from_document(doc)
+    want = repr(per_atom_map(model, g, "branch_count"))
+    fwd = model.forward_batch([g])
+    assert fwd is model._kept_pass[2]
+    for node in (fwd.output, fwd.fingerprint, fwd.node_reps):
+        with pytest.raises(ValueError, match="read-only"):
+            node.value[0, 0] = 7.0
+    assert repr(per_atom_map(model, g, "branch_count")) == want
+    assert repr(per_atom_map(model_from_document(doc), g, "branch_count")) == want
+
+
+def test_two_threads_on_one_model_give_the_serial_maps():
+    doc, _ = kept_pass_setup()
+    model = model_from_document(doc)
+    graphs = generate_graphs(ToySpec(num_molecules=40, seed=12))
+    halves = [graphs[::2], graphs[1::2]]
+    serial = model_from_document(doc)
+    want = [[repr(per_atom_map(serial, g, t)) for g in half for t in TOY] for half in halves]
+    got = [[], []]
+    start = threading.Barrier(2)
+
+    def explain(k):
+        start.wait()
+        for _ in range(3):
+            got[k].append([repr(per_atom_map(model, g, t)) for g in halves[k] for t in TOY])
+
+    workers = [threading.Thread(target=explain, args=(k,)) for k in (0, 1)]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join(timeout=60)
+    assert got == [[want[0]] * 3, [want[1]] * 3]
 
 
 def test_atom_maps_errors():

@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -364,6 +365,27 @@ def test_a_model_too_large_to_allocate_exits_2_with_one_line(workspace, capsys, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: out of memory: ") and captured.err.count("\n") == 1
+    assert not [p for p in (tmp / "run").iterdir()]
+
+
+@pytest.mark.parametrize("command", ["train", "crossval"])
+def test_a_model_too_deep_to_allocate_exits_2_at_once(workspace, command):
+    # every layer of 10**12 is small, so no single draw failed: init_model drew
+    # layer after layer until memory ran out. The layout is sized first now.
+    # The child runs capped at 1 GiB of address space, so a program that draws
+    # the layers fails here and not the machine; the timeout bounds its wall time.
+    tmp, config_path, config = workspace
+    config["model"]["num_conv_layers"] = 10 ** 12
+    rewrite(config_path, config)
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    start = time.perf_counter()
+    proc = run_cli([command, "--config", str(config_path)], timeout=60, preexec_fn=cap_memory)
+    assert time.perf_counter() - start < 10
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: out of memory: ") and proc.stderr.count("\n") == 1
     assert not [p for p in (tmp / "run").iterdir()]
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import re
 import threading
 import tracemalloc
@@ -20,6 +21,7 @@ from ginigcn.model import (
     eval_slices,
     fingerprint,
     init_model,
+    layout_size,
     model_from_document,
     PackedDataset,
     parameter_shapes,
@@ -139,6 +141,37 @@ def test_init_draws_the_weights_in_layout_order_from_one_generator(variant):
         else:
             want = np.full(shape, 1.0 if name.endswith(".gamma") else 0.0)
         assert model.params[name].value.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("variant", ["explainable", "reference"])
+@pytest.mark.parametrize("layers, hidden, intermediate, targets", [
+    (1, 1, 1, 1), (2, 3, 5, 2), (3, 64, 128, 3), (5, 7, 2, 4)])
+def test_layout_size_counts_the_layout(variant, layers, hidden, intermediate, targets):
+    cfg = ModelConfig(targets=[f"t{j}" for j in range(targets)], variant=variant,
+                      num_conv_layers=layers, conv_hidden=hidden, intermediate_dim=intermediate)
+    size = sum(math.prod(shape) for _, shape in parameter_shapes(cfg))
+    assert layout_size(cfg) == size == init_model(cfg).parameter_count()
+
+
+@pytest.mark.parametrize("variant", ["explainable", "reference"])
+def test_a_model_is_built_with_one_node_per_parameter(monkeypatch, variant):
+    # each batch norm state made gamma and beta nodes that the layout's
+    # nodes then replaced: two discarded nodes per normalized layer
+    cfg = ModelConfig(targets=["a"], variant=variant, conv_hidden=4, num_conv_layers=3,
+                      intermediate_dim=5, seed=2)
+    doc = json.loads(json.dumps(checkpoint_document(init_model(cfg))))
+    built = []
+    node_init = ad.Node.__init__
+
+    def counted(node, *args, **kwargs):
+        node_init(node, *args, **kwargs)
+        built.append(node)
+
+    monkeypatch.setattr(ad.Node, "__init__", counted)
+    for build in (lambda: init_model(cfg), lambda: model_from_document(doc)):
+        built.clear()
+        model = build()
+        assert [id(node) for node in built] == [id(node) for node in model.parameters()]
 
 
 def test_init_bounds_are_glorot():
@@ -577,7 +610,9 @@ def test_hand_model_two_atom_molecule():
     values = {"conv0.weight": w, "conv0.bias": np.array([0.25]), "conv0.gamma": np.ones(1),
               "conv0.beta": np.zeros(1), "output.weight": np.array([[2.0], [3.0]]),
               "output.bias": np.array([0.5])}
-    model = Model(cfg, values, {"conv0": make_identity_bn(1)})
+    model = Model(cfg, values)
+    identity = make_identity_bn(1)
+    model.bn["conv0"].epsilon, model.bn["conv0"].running_var = identity.epsilon, identity.running_var
     g = parse_smiles_subset("CC")
     # features: carbon flag 1 for both atoms; neighbor sum doubles it -> 2
     # affine: 2*1 + 0.25 = 2.25 per atom; relu/bn no-op
