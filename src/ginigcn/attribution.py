@@ -188,7 +188,7 @@ def top_representations(model: Model, target: str, mass_fraction: float = 0.9) -
     each Adam step updates the flat buffer they view and as tests edit them,
     so a kept set could go stale unseen. The sort costs a few µs, less than
     a key over the weights' bytes such as the one that guards the model's
-    kept forward pass (about 12 µs), so it is not kept behind one.
+    kept forward pass (about 8.5 µs to build), so it is not kept behind one.
     """
     (j,) = _columns(model, [target])
     count, order = _by_magnitude(model.out_weight.value[:, j], mass_fraction)

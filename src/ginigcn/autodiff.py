@@ -5,16 +5,16 @@ value plus a closure that maps the output gradient to per-parent gradient
 contributions. Only trainable leaves (parameters) hold a ``grad`` buffer;
 :func:`backward` passes gradients through intermediate nodes without
 storing them. The GCN model runs on ``constant``, ``parameter``, ``conv``
-(a graph convolution is one node), ``linear``, and ``batch_norm`` and
-``relu`` for the reference variant's head; the fingerprint, the loss and
-the Gini regularizer are one :class:`Node` each, built in their own
-modules, and ``selftest`` grad-checks ``neighbor_sum``. The other
-primitives have no caller in the package: ``matmul``, ``absolute``,
-``gather``, ``slice_rows``, ``reshape``, ``clamp_min``, ``log`` and ``exp``,
-and ``sub``, ``mul``, ``div``, ``reduce``, ``segment_aggregate``, ``tanh``
-and ``concat_cols``, whose last callers became the loss and fingerprint
-nodes. They stay because ``bench/tracing.py`` binds them by name, and the
-tests build their references from them. Values are at most 2-dimensional
+(each conv layer and the reference variant's dense head is one node) and
+``linear``; the fingerprint, the loss and the Gini regularizer are one
+:class:`Node` each, built in their own modules, and ``selftest``
+grad-checks ``neighbor_sum``. The other primitives have no caller in the
+package: ``matmul``, ``absolute``, ``gather``, ``slice_rows``, ``reshape``,
+``clamp_min``, ``log``, ``exp``, ``sub``, ``mul``, ``div``, ``reduce``,
+``segment_aggregate``, ``tanh``, ``concat_cols``, ``batch_norm`` and
+``relu``; the fused nodes replaced their last callers. They stay because
+``bench/tracing.py`` binds them by name, and the tests build their
+references from them. Values are at most 2-dimensional
 and double precision throughout. No broadcasting beyond row-wise
 bias/scale addition and scalar (0-d) operands.
 
@@ -481,7 +481,8 @@ def conv(h, table, weight, bias, state: "BatchNormState", mode: str, arena=None)
     same order, so the same bits, the same running-statistics update in
     train mode and the same gradients for h, weight, bias, gamma and beta.
     The affine map, the normalization and the ReLU run in place on one
-    array. Shapes are checked before any work.
+    array. Shapes are checked before any work. With a table whose row i is
+    ``[i]``, the slot sum copies ``h``: a dense layer with batch norm and ReLU.
 
     ``arena`` is a 1-d float64 buffer for eval passes with the tape off,
     of at least ``(n + 1) * max(d_in, d_out) + 2 * n * d_in`` values. The

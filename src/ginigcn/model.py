@@ -2,15 +2,16 @@
 
 Both variants share the convolution stack: each layer updates an atom's
 representation from itself plus the sum of its bonded neighbors, followed by
-an affine map, batch normalization, and ReLU. Mean and max aggregations of
-the final node representations are passed through tanh and concatenated into
-the molecular fingerprint.
+an affine map, batch normalization, and ReLU, all one ``ad.conv`` node. Mean
+and max aggregations of the final node representations are passed through
+tanh and concatenated into the molecular fingerprint.
 
 The explainable variant feeds the fingerprint directly into the output
 layer, so each prediction decomposes exactly into per-representation terms
 w_ij * tanh(f(x_i)) plus the bias. The reference variant inserts an
 intermediate fully-connected layer (with batch norm and ReLU) between the
-fingerprint and the output layer.
+fingerprint and the output layer: an ``ad.conv`` whose table rows list only
+themselves. So a forward pass runs ``conv``, the fingerprint and ``linear``.
 """
 
 from __future__ import annotations
@@ -312,9 +313,6 @@ class Model:
     def parameters(self) -> list[ad.Node]:
         return [node for _, node in self.named_parameters()]
 
-    def parameter_count(self) -> int:
-        return sum(node.value.size for node in self.parameters())
-
     def batch_norm_states(self) -> list[tuple[str, ad.BatchNormState]]:
         return list(self.bn.items())
 
@@ -352,8 +350,9 @@ class Model:
 
         That is each layer's weight, bias, batch norm gamma, beta, running
         mean, running variance and epsilon, and the output layer: about 10k
-        values at H=64 and 3 conv layers, whose key is built and compared in
-        about 12 µs (2-core box), against about 100 µs for the pass.
+        values at H=64 and 3 conv layers, whose key is built in about 8.5 µs;
+        a call that returns the kept pass takes about 11.2 µs (2-core box),
+        against about 85 µs for the pass.
         """
         arrays = [self.out_weight.value, self.out_bias.value]
         for weight, bias, state in (*self._convs, *self._hidden):
@@ -377,8 +376,8 @@ class Model:
             for weight, bias, state in self._convs:
                 h = ad.conv(h, neighbors, weight, bias, state, mode, arena)
             fp = head = fingerprint(h, atoms)
-            for weight, bias, state in self._hidden:  # the reference variant's intermediate layer
-                head = ad.relu(ad.batch_norm(ad.linear(head, weight, bias), state, mode))
+            for weight, bias, state in self._hidden:  # reference head: rows list only themselves
+                head = ad.conv(head, np.arange(len(atoms))[:, None], weight, bias, state, mode)
             out = ad.linear(head, self.out_weight, self.out_bias)
         finally:
             ad._set_recording(recording)

@@ -288,15 +288,24 @@ def conv_state(v, make=ad.parameter):
     return state
 
 
-@pytest.mark.parametrize("n", [5, 23])  # a table below and above ad._ONE_GATHER entries
+def dense_composite(h, table, weight, bias, state, mode):
+    """The three nodes that ad.conv replaces over a table whose row i is [i]."""
+    return ad.relu(ad.batch_norm(ad.linear(h, weight, bias), state, mode))
+
+
+# A table below and above ad._ONE_GATHER entries, for bonds and for rows that
+# list only themselves (the reference head: predict's last slice holds up to
+# 129 molecules).
+@pytest.mark.parametrize("n, rows", [(5, "bonds"), (23, "bonds"), (128, "self"), (129, "self")],
+                         ids=["5", "23", "self-128", "self-129"])
 @pytest.mark.parametrize("mode", ["train", "eval"])
-def test_conv_matches_the_four_node_composite_bit_for_bit(mode, n):
+def test_conv_matches_the_four_node_composite_bit_for_bit(mode, n, rows):
     rng = np.random.default_rng(5)
     v = conv_operands(rng, n)
-    table = random_neighbor_table(rng, len(v["h"]))
+    table = random_neighbor_table(rng, n) if rows == "bonds" else np.arange(n)[:, None]
     scale = rng.normal(size=(len(v["h"]), len(v["bias"])))
     results = []
-    for op in (composite_conv, ad.conv):
+    for op in (composite_conv, ad.conv, *([dense_composite] if rows == "self" else [])):
         h, w, b = (ad.parameter(v[k].copy()) for k in ("h", "weight", "bias"))
         state = conv_state(v)
         out = op(h, table, w, b, state, mode)
@@ -304,12 +313,13 @@ def test_conv_matches_the_four_node_composite_bit_for_bit(mode, n):
         results.append({"out": out.value, "running_mean": state.running_mean,
                         "running_var": state.running_var, "h": h.grad, "weight": w.grad,
                         "bias": b.grad, "gamma": state.gamma.grad, "beta": state.beta.grad})
-    composite, fused = results
+    composite, fused = results[:2]
     assert (composite["out"] == 0.0).any() and (composite["out"] > 0.0).any()
-    for name, want in composite.items():
-        got = fused[name]
-        assert got.dtype == want.dtype and got.shape == want.shape, name
-        assert got.tobytes() == want.tobytes(), name
+    for other in results[1:]:
+        for name, want in composite.items():
+            got = other[name]
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
     assert np.abs(fused["h"]).max() > 0.0
 
 

@@ -94,11 +94,12 @@ def test_variant_parameter_count_difference():
     # with intermediate_dim == fingerprint_dim the output layer matches in
     # both variants, so the difference is exactly the intermediate layer
     base = dict(targets=["a", "b"], conv_hidden=16, num_conv_layers=2, intermediate_dim=32, seed=0)
-    ref = init_model(ModelConfig(variant="reference", **base))
-    expl = init_model(ModelConfig(variant="explainable", **base))
+    ref, expl = (ModelConfig(variant=variant, **base) for variant in ("reference", "explainable"))
     fp = 2 * 16
     intermediate = fp * 32 + 32 + 32 + 32  # linear weight+bias, bn gamma+beta
-    assert ref.parameter_count() - expl.parameter_count() == intermediate
+    assert layout_size(ref) - layout_size(expl) == intermediate
+    held = [sum(p.value.size for p in init_model(cfg).params.values()) for cfg in (ref, expl)]
+    assert held == [layout_size(ref), layout_size(expl)]
 
 
 @pytest.mark.parametrize("variant", ["explainable", "reference"])
@@ -150,7 +151,8 @@ def test_layout_size_counts_the_layout(variant, layers, hidden, intermediate, ta
     cfg = ModelConfig(targets=[f"t{j}" for j in range(targets)], variant=variant,
                       num_conv_layers=layers, conv_hidden=hidden, intermediate_dim=intermediate)
     size = sum(math.prod(shape) for _, shape in parameter_shapes(cfg))
-    assert layout_size(cfg) == size == init_model(cfg).parameter_count()
+    held = sum(node.value.size for node in init_model(cfg).params.values())
+    assert layout_size(cfg) == size == held
 
 
 @pytest.mark.parametrize("variant", ["explainable", "reference"])
@@ -634,6 +636,23 @@ def test_reference_variant_forward_runs():
                                    num_conv_layers=1, intermediate_dim=6, seed=1))
     graphs = generate_graphs(ToySpec(num_molecules=6, seed=2))
     assert model.predict(graphs).shape == (6, 1)
+
+
+@pytest.mark.parametrize("variant", ["explainable", "reference"])
+def test_the_model_runs_neither_batch_norm_nor_relu(monkeypatch, variant):
+    # every normalized layer, the reference variant's intermediate one too, is one ad.conv node
+    def replaced(*args, **kwargs):
+        raise AssertionError("the model ran a primitive that ad.conv replaces")
+
+    for name in ("batch_norm", "relu"):
+        monkeypatch.setattr(ad, name, replaced)
+    model = init_model(ModelConfig(targets=["oxygen_count", "size"], variant=variant,
+                                   conv_hidden=8, num_conv_layers=2, intermediate_dim=12, seed=3))
+    graphs = generate_graphs(ToySpec(num_molecules=30, seed=7))
+    gini = GiniConfig(m=10.0 if variant == "explainable" else 0.0)
+    train(model, graphs[:20], TrainConfig(epochs=1, batch_size=7, gini=gini, seed=3), graphs[20:])
+    assert model.predict(graphs).shape == (30, 2)
+    assert model.forward_batch(graphs[:1]).output.shape == (1, 2)
 
 
 @pytest.mark.parametrize("method", ["predict", "forward_batch"])  # sliced / one pass over all
