@@ -16,9 +16,10 @@ whole dataset take it in :func:`ginigcn.model.eval_slices`, the slices of
 ``model.SLICE`` molecules that ``Model.predict`` also runs, which keeps the
 same bits and bounds memory by one slice's forward pass and maps. A
 molecule explained one target at a time (:func:`per_atom_map`,
-:func:`contribution_terms`) runs one eval forward pass for all its targets:
-the model keeps its last one-molecule pass while nothing it read has
-changed (``Model.forward_batch``).
+:func:`contribution_terms`) is packed once and runs one eval forward pass
+for all its targets: the one-molecule branch of ``Model.forward_batch``,
+the only reader and writer of both, keeps the pack on the graph and the
+model's last one-molecule pass while nothing it read has changed.
 
 Condensed Fukui functions are consumed from per-atom electron populations
 computed externally; this module only does the subtraction and the rank
@@ -109,7 +110,7 @@ def atom_maps(model: Model, graphs: list[MolecularGraph],
     cols = _columns(model, targets)
     if not graphs or not targets:
         raise ValueError("atom_maps needs at least one molecule and one target")
-    fwd = model.forward_batch(graphs, mode="eval")
+    fwd = model.forward_batch(graphs)
     phi = fwd.fingerprint.value                             # (molecules, 2H)
     w, b = model.out_weight.value, model.out_bias.value
     h = model.config.conv_hidden

@@ -232,23 +232,13 @@ class PackedDataset:
 def _packed(graphs: list[MolecularGraph]):
     """``x``, ``neighbors`` and ``atoms`` of one forward pass over ``graphs``, in input order.
 
-    A list of one molecule reads the pack kept on its graph. The first such
-    pass over a :class:`MolecularGraph` stores the three arrays, read-only,
-    as the graph's ``kept_pack``; later passes over the same object reuse
-    them, as when a molecule is explained once per target. Any other list
-    is packed afresh.
+    Each call packs afresh. Only the one-molecule eval branch of
+    :meth:`Model.forward_batch` keeps a pack, on the molecule's graph.
     """
     if not graphs:
         raise ValueError("empty batch")
-    if len(graphs) == 1 and graphs[0].kept_pack is not None:
-        return graphs[0].kept_pack
     x, offsets, neighbors = pack_graphs(graphs)
-    packed = (x, neighbors, _atom_table(offsets))
-    if len(graphs) == 1:
-        for array in packed:
-            array.flags.writeable = False
-        graphs[0].kept_pack = packed
-    return packed
+    return x, neighbors, _atom_table(offsets)
 
 
 def parameter_shapes(config: ModelConfig):
@@ -307,39 +297,40 @@ class Model:
         return self.config.variant == VARIANT_EXPLAINABLE
 
     def named_parameters(self) -> list[tuple[str, ad.Node]]:
-        """All trainable parameters in checkpoint order (:func:`parameter_shapes`)."""
+        """All trainable parameters in checkpoint order (:func:`parameter_shapes`).
+
+        The program reads ``params`` itself; ``bench/workloads.py`` reads this list.
+        """
         return list(self.params.items())
 
-    def parameters(self) -> list[ad.Node]:
-        return [node for _, node in self.named_parameters()]
+    def forward_batch(self, graphs: list[MolecularGraph], arena=None) -> BatchForward:
+        """The eval pass over a list of molecules, packed in input order (:func:`_packed`).
 
-    def batch_norm_states(self) -> list[tuple[str, ad.BatchNormState]]:
-        return list(self.bn.items())
-
-    def forward_batch(self, graphs: list[MolecularGraph], mode: str = "eval",
-                      arena=None) -> BatchForward:
-        """Run the full network over a batch of molecules, packed in input order.
-
-        A one-molecule batch reads the pack kept on its graph (:func:`_packed`).
-        ``arena`` is passed to :meth:`forward`.
-
-        The model also keeps the pass of its last one-molecule eval call
-        without an arena, as ``(graph, key, pass)``, and returns it, read-only,
-        while the same graph object comes back and the key still matches, as
-        when a molecule is explained once per target. The key holds the shape
-        and bytes of every array the pass reads and each layer's epsilon
-        (:meth:`_eval_key`), so an Adam step, an edit in place, a rebound
-        array or new running statistics miss the kept pass unless a new pass
-        would give the same bits. Any other call runs the pass and leaves the
-        kept one alone; a missed one-molecule eval call replaces it.
+        ``arena`` is passed to :meth:`forward`. A call over one molecule
+        without an arena, as when a molecule is explained once per target,
+        is the only code that reads or writes the graph's ``kept_pack`` and
+        the model's kept pass. It packs the graph once and keeps that pack,
+        read-only, on the graph. The model keeps the pass of its last such
+        call as ``(graph, key, pass)`` and returns it, read-only, while the
+        same graph object comes back and the key still matches. The key
+        holds the shape and bytes of every array the pass reads and each
+        layer's epsilon (:meth:`_eval_key`), so an Adam step, an edit in
+        place, a rebound array or new running statistics miss the kept pass
+        unless a new pass would give the same bits; a miss replaces it. Any
+        other call packs afresh and leaves both alone.
         """
-        if mode != "eval" or arena is not None or len(graphs) != 1:
-            return self.forward(*_packed(graphs), mode, arena)
+        if arena is not None or len(graphs) != 1:
+            return self.forward(*_packed(graphs), arena=arena)
         graph, key = graphs[0], self._eval_key()
         kept = self._kept_pass  # read once: another thread may replace it
         if kept is not None and kept[0] is graph and kept[1] == key:
             return kept[2]
-        fwd = self.forward(*_packed(graphs))
+        if graph.kept_pack is None:
+            packed = _packed(graphs)
+            for array in packed:
+                array.flags.writeable = False
+            graph.kept_pack = packed
+        fwd = self.forward(*graph.kept_pack)
         for node in (fwd.output, fwd.fingerprint, fwd.node_reps):
             node.value.flags.writeable = False
         self._kept_pass = (graph, key, fwd)
@@ -362,10 +353,12 @@ class Model:
 
     def forward(self, x: np.ndarray, neighbors: np.ndarray, atoms: np.ndarray,
                 mode: str = "eval", arena=None) -> BatchForward:
-        """Run the full network over a batch from :meth:`PackedDataset.take`.
+        """Run the full network over one batch's packed arrays.
 
-        Eval mode records no tape: its nodes require no grad and keep no
-        parents, so each intermediate is freed once the next layer has read it.
+        Train-mode batches come from :meth:`PackedDataset.take` only; eval
+        passes over molecules go through :meth:`forward_batch`. Eval mode
+        records no tape: its nodes require no grad and keep no parents, so
+        each intermediate is freed once the next layer has read it.
         With an ``arena`` (eval mode only; see :meth:`predict`), the conv
         layers write their arrays into it, and ``node_reps`` is a view of it
         that the next pass into the same arena overwrites.
@@ -438,11 +431,11 @@ def init_model(config: ModelConfig) -> Model:
 def checkpoint_document(model: Model) -> dict:
     """JSON-serializable snapshot; write -> read round trips bit-exact."""
     params = {name: {"shape": list(node.value.shape), "data": node.value.ravel().tolist()}
-              for name, node in model.named_parameters()}
+              for name, node in model.params.items()}
     bn = {name: {"running_mean": state.running_mean.tolist(),
                  "running_var": state.running_var.tolist(),
                  "momentum": state.momentum, "epsilon": state.epsilon}
-          for name, state in model.batch_norm_states()}
+          for name, state in model.bn.items()}
     return {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config": model.config.to_dict(),
@@ -511,7 +504,7 @@ def model_from_document(doc: dict) -> Model:
             raise CheckpointError(f"{what} has negative running variance")
         states[name] = (*rates, *running)
     model = Model(config, values)
-    for name, state in model.batch_norm_states():
+    for name, state in model.bn.items():
         state.momentum, state.epsilon, state.running_mean, state.running_var = states[name]
     return model
 

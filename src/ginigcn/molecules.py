@@ -89,10 +89,11 @@ class MolecularGraph:
     bonds of a built graph are not to be changed in place.
 
     The same rule lets a graph keep its one-molecule pack. ``kept_pack`` is
-    None until the first forward pass over this graph alone; that pass
-    stores its node features, neighbour table and atom table there, as
-    read-only arrays, and later one-molecule passes over the same object
-    reuse them (``model._packed``). It is not a field, so ``==``, ``repr``,
+    None until the first eval pass over this graph alone without an arena;
+    that pass stores its node features, neighbour table and atom table
+    there, as read-only arrays, and later such passes over the same object
+    reuse them. That branch of ``Model.forward_batch`` is the only code that
+    reads or writes ``kept_pack``. It is not a field, so ``==``, ``repr``,
     ``dataclasses.asdict`` and ``dataclasses.replace`` ignore it, and a
     graph rebuilt with ``replace`` or parsed again packs afresh.
     """

@@ -340,7 +340,7 @@ def train(
     names = model.config.targets
     y, mask = target_matrix(graphs, names)
     stats, z = standardize_targets(y, mask, names)
-    opt = AdamState(model.parameters())
+    opt = AdamState(list(model.params.values()))
     history = History(target_names=list(names))
 
     for epoch in range(cfg.epochs):

@@ -28,6 +28,11 @@ def gradient_check_batch():
     return graphs, config
 
 
+def train_pass(model, graphs):
+    """A train-mode forward pass over ``graphs`` in order, batched as training batches them."""
+    return model.forward(*PackedDataset(graphs).take(range(len(graphs))), mode="train")
+
+
 def relabel_graph(graph, perm):
     """Relabel atoms by a permutation (perm[k] = old index at new slot k)."""
     perm = np.asarray(perm)

@@ -28,7 +28,7 @@ from ginigcn.molecules import parse_smiles_subset
 from ginigcn.toydata import ToySpec, generate_graphs
 from ginigcn.training import TrainConfig, train
 
-from conftest import relabel_graph
+from conftest import relabel_graph, train_pass
 
 
 def small_model(targets=("y",), hidden=6, layers=2, seed=3, variant="explainable"):
@@ -278,7 +278,7 @@ TOY = ["oxygen_count", "size", "branch_count"]
 def kept_pass_setup():
     """A checkpoint document with moved running statistics, and a molecule of H atoms."""
     model = small_model(targets=TOY, hidden=6, layers=2, seed=7)
-    model.forward_batch(generate_graphs(ToySpec(num_molecules=8, seed=2)), mode="train")
+    train_pass(model, generate_graphs(ToySpec(num_molecules=8, seed=2)))
     g = parse_smiles_subset("CC(C)OCN")
     assert g.num_atoms == model.config.conv_hidden
     return json.loads(json.dumps(checkpoint_document(model))), g
@@ -364,9 +364,31 @@ def test_predict_train_mode_and_batches_leave_the_kept_pass(monkeypatch):
     assert model._kept_pass is kept and len(calls) == 3
     assert repr(per_atom_map(model, g, "size")) == want
     assert len(calls) == 3  # a hit
-    model.forward_batch([g], mode="train")  # moves the running statistics
+    train_pass(model, [g])  # moves the running statistics
     assert model._kept_pass is kept
     assert repr(per_atom_map(model, g, "size")) != want
+
+
+def test_only_the_one_molecule_eval_pass_keeps_a_pack(monkeypatch):
+    # predict, a train pass and an arena pass pack afresh; explaining the
+    # molecule once per target packs it once and keeps that pack
+    doc, g = kept_pass_setup()
+    model = model_from_document(doc)
+    model.predict([g])
+    train_pass(model, [g])
+    model.forward_batch([g], arena=np.empty(1000))
+    assert g.kept_pack is None
+    calls = []
+    pack_graphs = model_module.pack_graphs
+
+    def counted(graphs):
+        calls.append(len(graphs))
+        return pack_graphs(graphs)
+
+    monkeypatch.setattr(model_module, "pack_graphs", counted)
+    for t in TOY:
+        per_atom_map(model, g, t)
+    assert g.kept_pack is not None and calls == [1]
 
 
 def test_the_kept_pass_is_read_only():

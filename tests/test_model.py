@@ -34,6 +34,8 @@ from ginigcn.molecules import (Atom, MolecularGraph, MoleculeError, featurize,
 from ginigcn.toydata import ToySpec, generate_graphs
 from ginigcn.training import TrainConfig, train
 
+from conftest import train_pass
+
 
 def relabel(graph, perm):
     inv = np.argsort(perm)
@@ -121,8 +123,8 @@ def test_parameter_shapes_is_the_layout_the_model_holds(variant):
     assert [(name, node.value.shape) for name, node in model.named_parameters()] == want
     assert list(checkpoint_document(model)["parameters"]) == [name for name, _ in want]
     norms = ["conv0", "conv1"] + (["intermediate"] if variant == "reference" else [])
-    assert [name for name, _ in model.batch_norm_states()] == norms
-    for name, state in model.batch_norm_states():
+    assert list(model.bn) == norms
+    for name, state in model.bn.items():
         assert state.gamma is model.params[f"{name}.gamma"]
         assert state.beta is model.params[f"{name}.beta"]
     assert model.out_weight is model.params["output.weight"]
@@ -173,7 +175,7 @@ def test_a_model_is_built_with_one_node_per_parameter(monkeypatch, variant):
     for build in (lambda: init_model(cfg), lambda: model_from_document(doc)):
         built.clear()
         model = build()
-        assert [id(node) for node in built] == [id(node) for node in model.parameters()]
+        assert [id(node) for node in built] == [id(node) for node in model.params.values()]
 
 
 def test_init_bounds_are_glorot():
@@ -411,16 +413,18 @@ def test_take_rejects_empty_batch():
         pack.take([])
 
 
-def test_train_forward_on_take_matches_forward_batch():
+def test_train_forward_on_take_matches_a_fresh_pack():
+    # a batch taken from the pack of the whole list, as train takes it, gives
+    # the bits of the batch's molecules packed alone
     graphs = generate_graphs(ToySpec(num_molecules=40, seed=6))
     idx = np.random.default_rng(2).permutation(40)[:25]
     cfg = ModelConfig(targets=["a", "b"], conv_hidden=8, num_conv_layers=3, seed=1)
     a, b = init_model(cfg), init_model(cfg)
     fa = a.forward(*PackedDataset(graphs).take(idx), mode="train")
-    fb = b.forward_batch([graphs[i] for i in idx], mode="train")
+    fb = train_pass(b, [graphs[i] for i in idx])
     for field in ("output", "fingerprint", "node_reps"):
         assert np.array_equal(getattr(fa, field).value, getattr(fb, field).value), field
-    for (name, sa), (_, sb) in zip(a.batch_norm_states(), b.batch_norm_states()):
+    for (name, sa), (_, sb) in zip(a.bn.items(), b.bn.items()):
         assert np.array_equal(sa.running_mean, sb.running_mean), name
         assert np.array_equal(sa.running_var, sb.running_var), name
 
@@ -443,9 +447,10 @@ def test_kept_pack_is_built_once_and_read_only(monkeypatch):
     assert g.kept_pack is None
     first = model.forward_batch([g]).output.value.copy()
     kept = g.kept_pack
-    assert np.array_equal(model.predict([g]), first)
+    assert np.array_equal(model.predict([g]), first)  # an arena pass: packs afresh
+    assert calls == [[g.id], [g.id]] and g.kept_pack is kept
     assert np.array_equal(model.forward_batch([g]).output.value, first)
-    assert calls == [[g.id]] and g.kept_pack is kept
+    assert len(calls) == 2 and g.kept_pack is kept
     x, neighbors, atoms = kept
     assert np.array_equal(x, featurize(g))
     for array in kept:
@@ -460,16 +465,16 @@ def test_kept_pack_is_built_once_and_read_only(monkeypatch):
         assert twin.kept_pack is None
         assert model.forward_batch([twin]).output.value.tobytes() == first.tobytes()
         assert twin.kept_pack is not None and twin.kept_pack[0] is not x
-    assert len(calls) == 3
+    assert len(calls) == 4
 
 
-def test_train_forward_over_a_kept_pack_matches_a_fresh_pack():
+def test_a_kept_pass_leaves_a_train_pass_unchanged():
     cfg = ModelConfig(targets=["a", "b"], conv_hidden=8, num_conv_layers=3, seed=4)
     kept, fresh = init_model(cfg), init_model(cfg)
     g = generate_graphs(ToySpec(num_molecules=1, seed=9))[0]
-    kept.forward_batch([g])  # keeps the pack
+    kept.forward_batch([g])  # keeps the pack and the pass
     assert g.kept_pack is not None
-    fk = kept.forward_batch([g], mode="train")
+    fk = train_pass(kept, [g])
     ff = fresh.forward(*PackedDataset([g]).take([0]), mode="train")
     for field in ("output", "fingerprint", "node_reps"):
         assert getattr(fk, field).value.tobytes() == getattr(ff, field).value.tobytes(), field
@@ -477,7 +482,7 @@ def test_train_forward_over_a_kept_pack_matches_a_fresh_pack():
         ad.backward(ad.reduce(fwd.output, "sum"))
     for (name, a), (_, b) in zip(kept.named_parameters(), fresh.named_parameters()):
         assert a.grad.tobytes() == b.grad.tobytes(), name
-    for (name, sa), (_, sb) in zip(kept.batch_norm_states(), fresh.batch_norm_states()):
+    for (name, sa), (_, sb) in zip(kept.bn.items(), fresh.bn.items()):
         assert sa.running_mean.tobytes() == sb.running_mean.tobytes(), name
         assert sa.running_var.tobytes() == sb.running_var.tobytes(), name
 
@@ -513,7 +518,7 @@ def test_fingerprint_hand_values():
 def test_fingerprint_in_open_unit_interval():
     model = init_model(ModelConfig(targets=["size"], conv_hidden=8, num_conv_layers=2, seed=2))
     graphs = generate_graphs(ToySpec(num_molecules=30, seed=4))
-    fwd = model.forward_batch(graphs, mode="eval")
+    fwd = model.forward_batch(graphs)
     assert np.all(fwd.fingerprint.value > -1.0)
     assert np.all(fwd.fingerprint.value < 1.0)
 
@@ -626,7 +631,7 @@ def test_hand_model_two_atom_molecule():
 def test_explainable_decomposition_identity():
     model = init_model(ModelConfig(targets=["a", "b"], conv_hidden=8, num_conv_layers=2, seed=3))
     graphs = generate_graphs(ToySpec(num_molecules=10, seed=5))
-    fwd = model.forward_batch(graphs, mode="eval")
+    fwd = model.forward_batch(graphs)
     manual = fwd.fingerprint.value @ model.out_weight.value + model.out_bias.value
     assert np.allclose(manual, fwd.output.value, atol=1e-12)
 
@@ -770,13 +775,13 @@ def test_eval_forward_records_no_tape(variant):
                       intermediate_dim=6, seed=3)
     model, fresh = init_model(cfg), init_model(cfg)
     graphs = generate_graphs(ToySpec(num_molecules=10, seed=5))
-    fwd = model.forward_batch(graphs, mode="eval")
+    fwd = model.forward_batch(graphs)
     for node in (fwd.output, fwd.fingerprint, fwd.node_reps):
         assert not node.requires_grad and node._parents == () and node._backward is None
     # train mode still records, and backward after an eval pass gives the
     # gradients of a model that never ran one
     for m in (model, fresh):
-        out = m.forward_batch(graphs, mode="train").output
+        out = train_pass(m, graphs).output
         assert out.requires_grad and out._parents
         ad.backward(ad.reduce(out, "sum"))
     assert np.any(model.params["conv0.weight"].grad != 0.0)
@@ -817,7 +822,7 @@ def test_eval_pass_on_another_thread_leaves_this_threads_tape_on(monkeypatch):
 
     monkeypatch.setattr(ad, "linear", interleaved_linear)
     try:
-        out = model.forward_batch(graphs, mode="train").output
+        out = train_pass(model, graphs).output
     finally:
         resume.set()
         if worker.ident is not None:
@@ -842,12 +847,12 @@ def test_checkpoint_round_trip_bit_exact():
     model = init_model(ModelConfig(targets=["a", "b"], conv_hidden=5, num_conv_layers=2, seed=9))
     # dirty the running stats so the round trip covers them
     graphs = generate_graphs(ToySpec(num_molecules=6, seed=3))
-    model.forward_batch(graphs, mode="train")
+    train_pass(model, graphs)
     doc = checkpoint_document(model)
     clone = model_from_document(json.loads(json.dumps(doc)))
     for (name, a), (_, b) in zip(model.named_parameters(), clone.named_parameters()):
         assert np.array_equal(a.value, b.value), name
-    for (name, sa), (_, sb) in zip(model.batch_norm_states(), clone.batch_norm_states()):
+    for (name, sa), (_, sb) in zip(model.bn.items(), clone.bn.items()):
         assert np.array_equal(sa.running_mean, sb.running_mean), name
         assert np.array_equal(sa.running_var, sb.running_var), name
     # identical predictions after reload
@@ -859,7 +864,7 @@ def test_loader_builds_the_model_without_drawing_a_weight(monkeypatch, variant):
     model = init_model(ModelConfig(targets=["a", "b"], variant=variant, conv_hidden=5,
                                    num_conv_layers=2, intermediate_dim=3, seed=9))
     graphs = generate_graphs(ToySpec(num_molecules=6, seed=3))
-    model.forward_batch(graphs, mode="train")  # running stats off their start
+    train_pass(model, graphs)  # running stats off their start
     doc = json.loads(json.dumps(checkpoint_document(model)))
 
     def no_draw(*args, **kwargs):
@@ -900,7 +905,7 @@ def test_rebuilt_model_starts_with_zero_grads_and_trains_like_its_source(variant
     gini = GiniConfig(m=2 if variant == "explainable" else 0)
     cfg = TrainConfig(epochs=2, batch_size=5, learning_rate=1e-2, gini=gini, seed=7)
     train(model, graphs, cfg)
-    assert any(node.grad.any() for node in model.parameters())
+    assert any(node.grad.any() for node in model.params.values())
     clone = model_from_document(json.loads(json.dumps(checkpoint_document(model))))
     for name, node in clone.named_parameters():
         assert node.grad.shape == node.value.shape and not node.grad.any(), name
@@ -908,7 +913,7 @@ def test_rebuilt_model_starts_with_zero_grads_and_trains_like_its_source(variant
     train(clone, graphs, cfg)
     for (name, a), (_, b) in zip(model.named_parameters(), clone.named_parameters()):
         assert a.value.tobytes() == b.value.tobytes(), name
-    for (name, sa), (_, sb) in zip(model.batch_norm_states(), clone.batch_norm_states()):
+    for (name, sa), (_, sb) in zip(model.bn.items(), clone.bn.items()):
         assert sa.running_mean.tobytes() == sb.running_mean.tobytes(), name
         assert sa.running_var.tobytes() == sb.running_var.tobytes(), name
 

@@ -256,7 +256,7 @@ def test_checkpoint_loads_or_raises_checkpoint_error(doc):
     targets = model.config.targets
     assert isinstance(targets, list) and all(isinstance(t, str) for t in targets)
     assert len(set(targets)) == len(targets) == model.out_weight.value.shape[1]
-    for _, state in model.batch_norm_states():
+    for _, state in model.bn.items():
         assert 0.0 < state.momentum < 1.0 and state.epsilon > 0.0
 
 

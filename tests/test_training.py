@@ -286,7 +286,7 @@ def test_train_bit_reproducible():
                                        num_conv_layers=1, seed=4))
         cfg = toy_train_config(epochs=3, batch_size=6, gini=GiniConfig(m=10.0))
         train(model, graphs, cfg)
-        return np.concatenate([p.value.ravel() for p in model.parameters()])
+        return np.concatenate([p.value.ravel() for p in model.params.values()])
 
     assert np.array_equal(run(), run())
 
