@@ -11,6 +11,8 @@ end-to-end metric over the seeds; and, over the seeds run on both sides,
 the paired values, the change of the median and how many pairs the change
 side won. A side with fewer than ``MIN_SEEDS`` seeds of a workload is an
 error: the spread of a few runs says little on a host whose speed drifts.
+So are machine facts that differ among a workload's records, on one side or
+between the sides: a speedup counts only from a same-machine pair.
 """
 
 from __future__ import annotations
@@ -56,11 +58,26 @@ def side_summary(records: dict[int, dict]) -> dict:
     return {
         "git_sha": _one([r["git_sha"] for r in runs], "git_sha"),
         "source_sha256": _one([r["source_sha256"] for r in runs], "source_sha256"),
-        "machine": _one([r["machine"] for r in runs], "machine"),
+        "machine": runs[0]["machine"],  # the same in every record: check_machines
         "seeds": seeds,
         "all_correct": all(not r["problems"] and not r["errors"] for r in runs),
         "metrics": metrics,
     }
+
+
+def check_machines(workload: str, parent: dict[int, dict], change: dict[int, dict]) -> None:
+    """Raise ValueError unless every record of ``workload`` on both sides ran on one machine."""
+    machines = []
+    for side, records in zip(SIDES, (parent, change)):
+        facts = [r["machine"] for r in records.values()]
+        if any(f != facts[0] for f in facts):
+            raise ValueError(f"{workload}: the {side} records ran on different machines")
+        machines.append(facts[0])
+    before, after = machines
+    if before != after:
+        keys = sorted(k for k in {*before, *after} if before.get(k) != after.get(k))
+        raise ValueError(f"{workload}: parent and change ran on different machines "
+                         f"(they differ in {', '.join(keys)})")
 
 
 def paired(parent: dict[int, dict], change: dict[int, dict], better: dict[str, str]) -> dict:
@@ -93,6 +110,7 @@ def summarize(parent_dir: Path, change_dir: Path, better: dict[str, str]) -> dic
                 raise ValueError(f"{workload}: {count} {side} seed(s), at least {MIN_SEEDS} "
                                  "needed")
         parent, change = sides["parent"][workload], sides["change"][workload]
+        check_machines(workload, parent, change)
         if len(set(parent) & set(change)) < MIN_SEEDS:
             raise ValueError(f"{workload}: fewer than {MIN_SEEDS} seeds run on both sides")
         summary[workload] = {**{side: side_summary(sides[side][workload]) for side in SIDES},

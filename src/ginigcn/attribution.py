@@ -8,10 +8,11 @@ their (non-negative, post-ReLU) node outputs, and each max-block term lands
 whole on the argmax atom. The atom scores therefore sum to the prediction
 minus the bias (the completeness axiom of Sundararajan et al. 2017).
 
-:func:`atom_maps` is the one attribution path: one pack, one eval forward
-pass and one weight product for many molecules and targets, with the same
-bits as one molecule at a time (each prediction is the molecule's own
-fingerprint row times the output weights plus the bias). Callers that map a
+:func:`atom_maps` is the one attribution path: one
+:func:`ginigcn.molecules.pack_graphs` call, one eval forward pass and one
+weight product for many molecules and targets, with the same bits as one
+molecule at a time (each prediction is the molecule's own fingerprint row
+times the output weights plus the bias). Callers that map a
 whole dataset take it in :func:`ginigcn.model.eval_slices`, the slices of
 ``model.SLICE`` molecules that ``Model.predict`` also runs, which keeps the
 same bits and bounds memory by one slice's forward pass and maps. A
@@ -236,15 +237,17 @@ def rank_correlation(a, b) -> float:
 def fukui_compare(model: Model, graphs: list[MolecularGraph], target: str, polarity: str):
     """Spearman correlation of per-atom scores against a Fukui polarity.
 
-    Every graph must carry Fukui data, at least 2 atoms and a polarity that
-    is not the same on every atom; these are checked before the forward
-    pass. Returns ``(per_molecule, mean)`` where per_molecule is a list of
-    (id, coefficient) pairs in input order.
+    ``graphs`` must not be empty, and every graph must carry Fukui data, at
+    least 2 atoms and a polarity that is not the same on every atom; these
+    are checked before the forward pass. Returns ``(per_molecule, mean)``
+    where per_molecule is a list of (id, coefficient) pairs in input order.
     """
     if polarity not in POLARITIES:
         raise ValueError(f"polarity must be one of {POLARITIES}")
     column = POLARITIES.index(polarity)
     _columns(model, [target])
+    if not graphs:
+        raise ValueError("fukui_compare needs at least one molecule")
     for g in graphs:
         if g.fukui is None:
             raise ValueError(f"molecule {g.id!r} carries no fukui data")

@@ -90,7 +90,7 @@ def _run_config(path: Path, seed_override, out_override):
         train_cfg = TrainConfig(gini=GiniConfig(**gini_doc), **train_doc)
     except KeyError as e:
         raise ValueError(f"invalid config: missing field {e.args[0]!r}") from None
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, RecursionError) as e:  # RecursionError: nested too deeply
         raise ValueError(f"invalid config: {e}") from None
     graphs = load_dataset(dataset_path)
     dataset_targets = set()

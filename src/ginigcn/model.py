@@ -29,7 +29,6 @@ __all__ = [
     "ModelConfig",
     "Model",
     "BatchForward",
-    "PackedDataset",
     "SLICE",
     "slice_bounds",
     "eval_slices",
@@ -162,13 +161,6 @@ def fingerprint(node_reps: ad.Node, atoms: np.ndarray) -> ad.Node:
     return ad.Node(out, True, (node_reps,), bw)
 
 
-def _atom_table(offsets: np.ndarray) -> np.ndarray:
-    # Row k lists rows offsets[k] .. offsets[k + 1] - 1, then the atom count offsets[-1].
-    begins, sizes = offsets[:-1], offsets[1:] - offsets[:-1]
-    cols = np.arange(sizes.max())
-    return np.where(cols < sizes[:, None], begins[:, None] + cols, offsets[-1])
-
-
 def slice_bounds(n: int, size: int) -> list[tuple[int, int]]:
     """Consecutive ``(start, stop)`` runs of ``size`` over ``n`` items.
 
@@ -185,60 +177,6 @@ def slice_bounds(n: int, size: int) -> list[tuple[int, int]]:
 def eval_slices(graphs: list[MolecularGraph]) -> list[list[MolecularGraph]]:
     """``graphs`` in consecutive slices of :data:`SLICE` molecules, as eval runs them."""
     return [graphs[start:stop] for start, stop in slice_bounds(len(graphs), SLICE)]
-
-
-class PackedDataset:
-    """A list of molecules packed once into contiguous arrays by :func:`pack_graphs`.
-
-    ``x`` stacks every molecule's node features. Row v of ``neighbors`` lists
-    atom v and its bonded neighbors in dataset rows, ascending, padded with
-    the atom count. Molecule k owns rows ``offsets[k]:offsets[k + 1]``. The
-    arrays come from one pass over the atoms and bonds and one sort of
-    (row, neighbour) keys. Batches are slices of the pack, taken with
-    :meth:`take`.
-    """
-
-    def __init__(self, graphs: list[MolecularGraph]):
-        if not graphs:
-            raise ValueError("empty batch")
-        self.x, self.offsets, self.neighbors = pack_graphs(graphs)
-
-    def take(self, indices):
-        """Node features and the index tables ``neighbors`` and ``atoms`` of a batch.
-
-        The batch holds the molecules ``indices`` in that order. ``neighbors``
-        lists each atom and its bonded neighbors, ``atoms`` each molecule's
-        atom rows; both in batch rows, ascending, padded with the batch atom
-        count and no wider than the batch's widest row.
-        """
-        idx = np.asarray(indices, dtype=np.intp)
-        if idx.size == 0:
-            raise ValueError("empty batch")
-        n = len(self.x)
-        starts = self.offsets[idx]
-        sizes = self.offsets[idx + 1] - starts
-        offsets = np.concatenate(([0], sizes)).cumsum()
-        m = int(offsets[-1])
-        shift = np.repeat(offsets[:-1] - starts, sizes)
-        rows = np.arange(m) - shift
-        table = self.neighbors[rows]
-        table = table[:, :(table < n).sum(axis=1).max()]
-        # Bonds stay within a molecule, and a molecule's rows all move by one
-        # shift, so each neighbor row stays ascending.
-        neighbors = np.where(table < n, table + shift[:, None], m)
-        return self.x[rows], neighbors, _atom_table(offsets)
-
-
-def _packed(graphs: list[MolecularGraph]):
-    """``x``, ``neighbors`` and ``atoms`` of one forward pass over ``graphs``, in input order.
-
-    Each call packs afresh. Only the one-molecule eval branch of
-    :meth:`Model.forward_batch` keeps a pack, on the molecule's graph.
-    """
-    if not graphs:
-        raise ValueError("empty batch")
-    x, offsets, neighbors = pack_graphs(graphs)
-    return x, neighbors, _atom_table(offsets)
 
 
 def parameter_shapes(config: ModelConfig):
@@ -304,7 +242,7 @@ class Model:
         return list(self.params.items())
 
     def forward_batch(self, graphs: list[MolecularGraph], arena=None) -> BatchForward:
-        """The eval pass over a list of molecules, packed in input order (:func:`_packed`).
+        """The eval pass over a list of molecules, packed in input order (:func:`pack_graphs`).
 
         ``arena`` is passed to :meth:`forward`. A call over one molecule
         without an arena, as when a molecule is explained once per target,
@@ -320,13 +258,13 @@ class Model:
         other call packs afresh and leaves both alone.
         """
         if arena is not None or len(graphs) != 1:
-            return self.forward(*_packed(graphs), arena=arena)
+            return self.forward(*pack_graphs(graphs), arena=arena)
         graph, key = graphs[0], self._eval_key()
         kept = self._kept_pass  # read once: another thread may replace it
         if kept is not None and kept[0] is graph and kept[1] == key:
             return kept[2]
         if graph.kept_pack is None:
-            packed = _packed(graphs)
+            packed = pack_graphs(graphs)
             for array in packed:
                 array.flags.writeable = False
             graph.kept_pack = packed
@@ -353,9 +291,9 @@ class Model:
 
     def forward(self, x: np.ndarray, neighbors: np.ndarray, atoms: np.ndarray,
                 mode: str = "eval", arena=None) -> BatchForward:
-        """Run the full network over one batch's packed arrays.
+        """Run the full network over the arrays :func:`pack_graphs` builds for one batch.
 
-        Train-mode batches come from :meth:`PackedDataset.take` only; eval
+        ``train`` packs each of its batches for a train-mode pass; eval
         passes over molecules go through :meth:`forward_batch`. Eval mode
         records no tape: its nodes require no grad and keep no parents, so
         each intermediate is freed once the next layer has read it.
@@ -519,6 +457,6 @@ def load_checkpoint(path) -> Model:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # malformed, or nested too deeply
         raise CheckpointError(f"unreadable checkpoint {path}: {e}") from None
     return model_from_document(doc)

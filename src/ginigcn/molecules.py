@@ -90,10 +90,10 @@ class MolecularGraph:
 
     The same rule lets a graph keep its one-molecule pack. ``kept_pack`` is
     None until the first eval pass over this graph alone without an arena;
-    that pass stores its node features, neighbour table and atom table
-    there, as read-only arrays, and later such passes over the same object
-    reuse them. That branch of ``Model.forward_batch`` is the only code that
-    reads or writes ``kept_pack``. It is not a field, so ``==``, ``repr``,
+    that pass stores its :func:`pack_graphs` arrays there, read-only, and
+    later such passes over the same object reuse them instead of packing.
+    That branch of ``Model.forward_batch`` is the only code that reads or
+    writes ``kept_pack``. It is not a field, so ``==``, ``repr``,
     ``dataclasses.asdict`` and ``dataclasses.replace`` ignore it, and a
     graph rebuilt with ``replace`` or parsed again packs afresh.
     """
@@ -236,7 +236,7 @@ def parse_graph_file(text: str) -> list[MolecularGraph]:
             continue
         try:
             graphs.append(_graph_from_record(json.loads(stripped)))
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:  # malformed, or nested too deeply
             raise MoleculeError(f"line {lineno}: malformed record: {e}") from None
         except ValueError as e:
             raise MoleculeError(f"line {lineno}: {e}") from None
@@ -386,15 +386,20 @@ def parse_smiles_subset(smiles: str) -> MolecularGraph:
 
 
 def pack_graphs(graphs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Node features, atom offsets and neighbour table of ``graphs``, stacked in order.
+    """Node features, neighbour table and atom table of one forward pass over ``graphs``.
 
-    ``x`` has the :func:`featurize` layout, one row per atom; molecule k owns
-    rows ``offsets[k]:offsets[k + 1]``. Row v of ``neighbors`` lists atom v
-    and its bonded neighbours, ascending, padded with the atom count. The
-    arrays come from each graph's ``atom_codes`` and ``bond_ends``, with no
-    pass in Python over atoms or bonds. Every built graph packs: its
-    degrees and hydrogen counts lie in 0-4 (:class:`MolecularGraph`).
+    These are the arguments of ``Model.forward``, and this is the only code
+    that builds them. ``x`` has the :func:`featurize` layout, one row per
+    atom, the molecules stacked in order. Row v of ``neighbors`` lists atom v
+    and its bonded neighbours, and row k of ``atoms`` lists molecule k's
+    rows; both ascending, padded with the atom count and no wider than their
+    widest row. The arrays come from each graph's ``atom_codes`` and
+    ``bond_ends``, with no pass in Python over atoms or bonds. Every built
+    graph packs: its degrees and hydrogen counts lie in 0-4
+    (:class:`MolecularGraph`). An empty list raises ``ValueError``.
     """
+    if not graphs:
+        raise ValueError("empty batch")
     starts = np.array([0, *accumulate(len(g.atoms) for g in graphs)])
     n = int(starts[-1])
     codes = np.concatenate([g.atom_codes for g in graphs]).reshape(n, 3)
@@ -414,7 +419,11 @@ def pack_graphs(graphs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     neighbors.fill(n)
     # Keys are sorted, so row r's keys run from rows.searchsorted(r), ascending.
     neighbors[rows, np.arange(len(keys)) - rows.searchsorted(rows)] = nbrs
-    return x, starts, neighbors
+    # Row k lists rows starts[k] .. starts[k + 1] - 1, then n.
+    begins, sizes = starts[:-1], starts[1:] - starts[:-1]
+    cols = np.arange(sizes.max())
+    atoms = np.where(cols < sizes[:, None], begins[:, None] + cols, n)
+    return x, neighbors, atoms
 
 
 def featurize(graph: MolecularGraph) -> np.ndarray:

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .gini import GiniConfig, RegularizerReport, regularized_loss
-from .model import Model, ModelConfig, PackedDataset, init_model, slice_bounds
-from .molecules import MolecularGraph, check_integer, finite_number, kfold_split
+from .model import Model, ModelConfig, init_model, slice_bounds
+from .molecules import MolecularGraph, check_integer, finite_number, kfold_split, pack_graphs
 
 __all__ = [
     "TrainConfig",
@@ -322,10 +322,11 @@ def train(
 ):
     """Minimize the regularized loss over seeded shuffled mini-batches.
 
-    ``graphs`` is packed once, before the first epoch, and each batch is
-    taken from that pack. After each epoch, ``val_graphs`` (if given) is
-    scored with :func:`evaluate_mae`, as :func:`cross_validate` scores a
-    held-out fold. Target statistics are fitted on ``graphs`` (the training
+    Each batch's molecules are packed by :func:`pack_graphs` for its
+    train-mode pass, so every training molecule is packed once per epoch.
+    After each epoch, ``val_graphs`` (if given) is scored with
+    :func:`evaluate_mae`, as :func:`cross_validate` scores a held-out
+    fold. Target statistics are fitted on ``graphs`` (the training
     fold). Returns ``(model, stats, history)``; the model is mutated in
     place. Gini regularization (m > 0) requires the explainable variant.
 
@@ -336,7 +337,6 @@ def train(
         raise ValueError("empty training set")
     if cfg.gini.m > 0 and not model.is_explainable:
         raise ValueError("Gini regularization (m > 0) requires the explainable variant")
-    packed = PackedDataset(graphs)
     names = model.config.targets
     y, mask = target_matrix(graphs, names)
     stats, z = standardize_targets(y, mask, names)
@@ -347,7 +347,7 @@ def train(
         report = None
         for b, batch_idx in enumerate(_epoch_batches(len(graphs), cfg.batch_size, cfg.seed, epoch)):
             opt.zero_grads()
-            fwd = model.forward(*packed.take(batch_idx), mode="train")
+            fwd = model.forward(*pack_graphs([graphs[i] for i in batch_idx]), mode="train")
             raw = multitask_loss(fwd.output, z[batch_idx], mask[batch_idx])
             if model.is_explainable:
                 loss, report = regularized_loss(raw, model.out_weight,

@@ -6,8 +6,8 @@ import numpy as np
 
 from ginigcn import autodiff as ad
 from ginigcn.gini import GiniConfig, regularized_loss
-from ginigcn.model import ModelConfig, PackedDataset, init_model, parameter_shapes
-from ginigcn.molecules import MolecularGraph, parse_smiles_subset
+from ginigcn.model import ModelConfig, init_model, parameter_shapes
+from ginigcn.molecules import MolecularGraph, pack_graphs, parse_smiles_subset
 from ginigcn.toydata import planted_value
 from ginigcn.training import multitask_loss, target_matrix, standardize_targets
 
@@ -30,7 +30,7 @@ def gradient_check_batch():
 
 def train_pass(model, graphs):
     """A train-mode forward pass over ``graphs`` in order, batched as training batches them."""
-    return model.forward(*PackedDataset(graphs).take(range(len(graphs))), mode="train")
+    return model.forward(*pack_graphs(graphs), mode="train")
 
 
 def relabel_graph(graph, perm):
@@ -66,7 +66,7 @@ class PackedLoss:
             self.spans.append((name, offset, offset + size, shape))
             offset += size
         self.size = offset
-        self.x, self.neighbors, self.atoms = PackedDataset(graphs).take(range(len(graphs)))
+        self.x, self.neighbors, self.atoms = pack_graphs(graphs)
         y, self.mask = target_matrix(graphs, config.targets)
         _, self.z = standardize_targets(y, self.mask, config.targets)
         self.diagnostics = {}

@@ -722,6 +722,12 @@ def test_missing_fukui_rejected():
         fukui_compare(model, [g], "y", "f_minus")
 
 
+def test_empty_fukui_compare_rejected():
+    # the mean over no molecules would be NaN
+    with pytest.raises(ValueError, match="^fukui_compare needs at least one molecule$"):
+        fukui_compare(small_model(), [], "y", "f_minus")
+
+
 def test_constant_fukui_rejected_before_the_forward_pass(monkeypatch):
     # ethane's carbons share one f_minus, so that polarity has no rank correlation
     model = small_model()

@@ -15,14 +15,17 @@ def load_summary():
     return module
 
 
-def write_records(out_dir, workload, seeds, mol_per_s, sha, problems=()):
+MACHINE = {"cpus": 2, "blas": "openblas 0.3"}
+
+
+def write_records(out_dir, workload, seeds, mol_per_s, sha, problems=(), machine=MACHINE):
     out_dir.mkdir(exist_ok=True)
     for seed, rate in zip(seeds, mol_per_s):
         record = {
             "args": {"workload": workload, "seed": seed, "seconds": 30.0, "trace": 0},
             "git_sha": sha,
             "source_sha256": "digest-" + sha,
-            "machine": {"cpus": 2, "blas": "openblas 0.3"},
+            "machine": machine,
             "problems": list(problems),
             "errors": [],
             "end_to_end": {"setup_s": 0.5, "peak_rss_mb": 80.0, "mol_per_s": rate,
@@ -83,4 +86,21 @@ def test_too_few_seeds_is_an_error(tmp_path, capsys):
     assert not out.exists()
     write_records(tmp_path / "b", "eval_bulk", [6], [1.0], "bbb")
     with pytest.raises(ValueError, match="fewer than 5 seeds run on both sides"):
+        summary.summarize(tmp_path / "a", tmp_path / "b", {})
+
+
+def test_records_from_different_machines_are_an_error(tmp_path, capsys):
+    # a speedup counts only from a same-machine pair
+    summary = load_summary()
+    seeds = [1, 2, 3, 4, 5]
+    write_records(tmp_path / "a", "train", seeds, [10.0] * 5, "aaa")
+    write_records(tmp_path / "b", "train", seeds, [11.0] * 5, "bbb",
+                  machine={**MACHINE, "cpus": 4})
+    out = tmp_path / "BENCH.json"
+    assert summary.main([str(tmp_path / "a"), str(tmp_path / "b"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("bench_summary: error: train: parent and change ran on "
+                                       "different machines (they differ in cpus)\n")
+    assert not out.exists()
+    write_records(tmp_path / "b", "train", [3], [11.0], "bbb")  # one record on the parent's
+    with pytest.raises(ValueError, match="^train: the change records ran on different machines$"):
         summary.summarize(tmp_path / "a", tmp_path / "b", {})

@@ -531,6 +531,48 @@ def test_fukui_compare_constant_fukui_names_the_molecule(workspace, capsys):
                             "rank correlation is undefined\n")
 
 
+def test_fukui_compare_without_molecules_exits_1(tmp_path, capsys, recwarn):
+    # a dataset of comment lines holds no molecule, so there is no mean to print
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(json.dumps(untrained_checkpoint()))
+    (tmp_path / "comments.jsonl").write_text("# no molecules\n\n# here\n")
+    code = main(["fukui-compare", "--checkpoint", str(ckpt), "--dataset",
+                 str(tmp_path / "comments.jsonl"), "--target", "size"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: fukui_compare needs at least one molecule\n"
+    assert len(recwarn) == 0
+
+
+@pytest.mark.parametrize("reader", ["checkpoint", "dataset", "config"])
+def test_deeply_nested_json_exits_1_with_one_line(workspace, capsys, reader):
+    # json gives up on 200,000 nested arrays with a RecursionError; each reader names its file
+    tmp, config_path, config = workspace
+    ckpt = tmp / "ckpt.json"
+    ckpt.write_text(json.dumps(untrained_checkpoint()))
+    deep = "[" * 200_000 + "]" * 200_000
+    if reader == "checkpoint":
+        ckpt.write_text(deep)
+        argv = ["gini-report", "--checkpoint", str(ckpt)]
+        prefix = f"error: unreadable checkpoint {ckpt}: "
+    elif reader == "dataset":
+        dataset = tmp / "deep.jsonl"
+        dataset.write_text('# one comment line\n{"id": "deep", "atoms": ' + deep + "}\n")
+        argv = ["explain", "--checkpoint", str(ckpt), "--dataset", str(dataset),
+                "--target", "size"]
+        prefix = "error: line 2: malformed record: "
+    else:
+        config_path.write_text('{"dataset": ' + deep + "}")
+        argv = ["train", "--config", str(config_path)]
+        prefix = "error: invalid config: "
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(prefix + "maximum recursion depth exceeded")
+    assert captured.err.count("\n") == 1
+
+
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out

@@ -23,7 +23,6 @@ from ginigcn.model import (
     init_model,
     layout_size,
     model_from_document,
-    PackedDataset,
     parameter_shapes,
     slice_bounds,
 )
@@ -209,7 +208,7 @@ def test_conv_isolated_atom():
 
 
 def test_conv_symmetric_pair():
-    _, neighbors, _ = PackedDataset([parse_smiles_subset("CC")]).take([0])
+    _, neighbors, _ = pack_graphs([parse_smiles_subset("CC")])
     h = ad.constant(np.ones((2, 3)))
     rng = np.random.default_rng(0)
     w = ad.constant(rng.normal(size=(3, 4)))
@@ -251,7 +250,7 @@ def dense_self_adjacency(graphs):
 ])
 def test_neighbor_sum_matches_dense_product(smiles):
     graphs = [parse_smiles_subset(s) for s in smiles]
-    x, neighbors, atoms = PackedDataset(graphs).take(range(len(graphs)))
+    x, neighbors, atoms = pack_graphs(graphs)
     n = x.shape[0]
     h = np.random.default_rng(3).normal(size=(n, 5))
     a = dense_self_adjacency(graphs)
@@ -299,31 +298,29 @@ def reference_batch(graphs):
     return x, pad(rows), pad(members)
 
 
-def test_take_hand_tables():
-    pack = PackedDataset([parse_smiles_subset(s) for s in ("CCO", "C", "CC")])
-    x, neighbors, atoms = pack.take([2, 0])
-    # batch rows: CC -> 0, 1; CCO -> 2, 3, 4; padding 5
+def test_pack_hand_tables():
+    cco, c, cc = (parse_smiles_subset(s) for s in ("CCO", "C", "CC"))
+    x, neighbors, atoms = pack_graphs([cc, cco])
+    # rows: CC -> 0, 1; CCO -> 2, 3, 4; padding 5
     assert np.array_equal(neighbors, [[0, 1, 5], [0, 1, 5], [2, 3, 5], [2, 3, 4], [3, 4, 5]])
     assert np.array_equal(atoms, [[0, 1, 5], [2, 3, 4]])
-    assert np.array_equal(x[:2], pack.x[4:6])
-    assert np.array_equal(x[2:], pack.x[:3])
+    assert np.array_equal(x[:2], reference_features(cc))
+    assert np.array_equal(x[2:], reference_features(cco))
     # a lone atom: its own row only, no wider than the batch needs
-    x, neighbors, atoms = pack.take([1])
+    x, neighbors, atoms = pack_graphs([c])
     assert np.array_equal(neighbors, [[0]]) and np.array_equal(atoms, [[0]])
-    assert np.array_equal(x, pack.x[3:4])
+    assert np.array_equal(x, reference_features(c))
 
 
-def test_take_matches_tables_built_from_the_graphs():
+def test_pack_matches_tables_built_from_the_graphs():
     graphs = generate_graphs(ToySpec(num_molecules=60, seed=9))
     graphs += [parse_smiles_subset(s) for s in ("C", "CC(C)(C)C", "C1CCCCC1")]
-    pack = PackedDataset(graphs)
     rng = np.random.default_rng(4)
     batches = [rng.permutation(len(graphs))[:k] for k in (2, 7, 25)]
     batches += [[60], [60, 61], [62], list(range(len(graphs))), [61, 3, 3]]
     for idx in batches:
-        got = pack.take(idx)
-        want = reference_batch([graphs[i] for i in idx])
-        for a, b in zip(got, want):
+        batch = [graphs[i] for i in idx]
+        for a, b in zip(pack_graphs(batch), reference_batch(batch)):
             assert a.dtype == b.dtype and np.array_equal(a, b), idx
 
 
@@ -334,13 +331,9 @@ def test_pack_edge_cases_match_the_reference():
     aromatic = parse_smiles_subset("c1ccncc1")
     for graphs in ([lone], [unbonded], [degree_four], [lone, unbonded, degree_four, aromatic],
                    [degree_four, lone, lone, unbonded]):
-        pack = PackedDataset(graphs)
-        x, neighbors, _ = reference_batch(graphs)
-        offsets = np.cumsum([0] + [g.num_atoms for g in graphs])
-        got = (pack.x, pack.offsets, pack.neighbors)
-        for a, b in zip(got, (x, offsets, neighbors)):
+        for a, b in zip(pack_graphs(graphs), reference_batch(graphs)):
             assert a.dtype == b.dtype and np.array_equal(a, b), [g.id for g in graphs]
-    assert PackedDataset([degree_four]).neighbors.shape == (5, 5)
+    assert pack_graphs([degree_four])[1].shape == (5, 5)
 
 
 @pytest.mark.parametrize("bad_atoms, message", [
@@ -379,10 +372,7 @@ def test_pack_from_the_cached_arrays_matches_the_reference():
         assert g.atom_codes.tolist() == [c for a in g.atoms for c in (
             "HCNOF".index(a.element), 11 + a.implicit_hydrogens, a.aromatic)]
         assert g.bond_ends.tolist() == [k for i, j, _ in g.bonds for k in (i, j)]
-    x, offsets, neighbors = pack_graphs(graphs)
-    want_x, want_neighbors, _ = reference_batch(graphs)
-    want_offsets = np.cumsum([0] + [g.num_atoms for g in graphs])
-    for got, want in ((x, want_x), (offsets, want_offsets), (neighbors, want_neighbors)):
+    for got, want in zip(pack_graphs(graphs), reference_batch(graphs)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
@@ -399,34 +389,16 @@ def test_pack_names_a_hydrogen_count_past_int64():
 def test_forward_rejects_a_neighbor_index_out_of_range(entry):
     # the conv gathers with mode="clip", so its one bounds check must catch these
     model = init_model(ModelConfig(targets=["a"], conv_hidden=4, num_conv_layers=2, seed=0))
-    x, neighbors, atoms = PackedDataset(generate_graphs(ToySpec(num_molecules=3, seed=1))).take(
-        [0, 1, 2])
+    x, neighbors, atoms = pack_graphs(generate_graphs(ToySpec(num_molecules=3, seed=1)))
     neighbors[0, -1] = len(x) + entry if entry > 0 else entry
     for mode in ("eval", "train"):
         with pytest.raises(IndexError, match="table entries must lie in"):
             model.forward(x, neighbors, atoms, mode=mode)
 
 
-def test_take_rejects_empty_batch():
-    pack = PackedDataset([parse_smiles_subset("CC")])
-    with pytest.raises(ValueError):
-        pack.take([])
-
-
-def test_train_forward_on_take_matches_a_fresh_pack():
-    # a batch taken from the pack of the whole list, as train takes it, gives
-    # the bits of the batch's molecules packed alone
-    graphs = generate_graphs(ToySpec(num_molecules=40, seed=6))
-    idx = np.random.default_rng(2).permutation(40)[:25]
-    cfg = ModelConfig(targets=["a", "b"], conv_hidden=8, num_conv_layers=3, seed=1)
-    a, b = init_model(cfg), init_model(cfg)
-    fa = a.forward(*PackedDataset(graphs).take(idx), mode="train")
-    fb = train_pass(b, [graphs[i] for i in idx])
-    for field in ("output", "fingerprint", "node_reps"):
-        assert np.array_equal(getattr(fa, field).value, getattr(fb, field).value), field
-    for (name, sa), (_, sb) in zip(a.bn.items(), b.bn.items()):
-        assert np.array_equal(sa.running_mean, sb.running_mean), name
-        assert np.array_equal(sa.running_var, sb.running_var), name
+def test_pack_rejects_empty_batch():
+    with pytest.raises(ValueError, match="^empty batch$"):
+        pack_graphs([])
 
 
 # ------------------------------------------------- kept one-molecule pack
@@ -475,7 +447,7 @@ def test_a_kept_pass_leaves_a_train_pass_unchanged():
     kept.forward_batch([g])  # keeps the pack and the pass
     assert g.kept_pack is not None
     fk = train_pass(kept, [g])
-    ff = fresh.forward(*PackedDataset([g]).take([0]), mode="train")
+    ff = train_pass(fresh, [g])
     for field in ("output", "fingerprint", "node_reps"):
         assert getattr(fk, field).value.tobytes() == getattr(ff, field).value.tobytes(), field
     for fwd in (fk, ff):
@@ -489,13 +461,12 @@ def test_a_kept_pass_leaves_a_train_pass_unchanged():
 
 @pytest.mark.parametrize("n", [1, 2, 5, SLICE, SLICE + 1, 2 * SLICE + 1, 300])
 def test_predict_over_a_pack_matches_predict_over_the_list(n):
-    # predict packs each eval slice alone; a slice taken from one pack of the
-    # whole list, as train takes its batches, gives the same bits
+    # predict runs each eval slice's pack in one arena; a pass over each
+    # slice's pack without an arena gives the same bits
     model = init_model(ModelConfig(targets=["a", "b"], conv_hidden=8, num_conv_layers=2, seed=3))
     graphs = generate_graphs(ToySpec(num_molecules=n, seed=14))
-    packed = PackedDataset(graphs)
-    over_pack = np.concatenate([model.forward(*packed.take(np.arange(start, stop))).output.value
-                                for start, stop in slice_bounds(n, SLICE)])
+    over_pack = np.concatenate([model.forward(*pack_graphs(part)).output.value
+                                for part in eval_slices(graphs)])
     assert over_pack.tobytes() == model.predict(graphs).tobytes()
 
 
@@ -546,7 +517,7 @@ def fingerprint_inputs():
     graphs[40] = parse_smiles_subset("O")
     cases = []
     for idx in (np.arange(60), rng.permutation(60)[:25], [3], [3, 40]):
-        x, _, atoms = PackedDataset(graphs).take(idx)
+        x, _, atoms = pack_graphs([graphs[i] for i in idx])
         reps = np.fmax(rng.normal(size=(len(x), 6)), 0.0) + 0.0
         reps[:, 2] = 0.0                      # a dead column: every atom ties at 0
         reps[::3, 4] = reps[:, 4].max()       # tied maxima across molecules
@@ -791,8 +762,7 @@ def test_eval_forward_records_no_tape(variant):
 
 def test_eval_forward_restores_the_tape_when_it_raises():
     model = init_model(ModelConfig(targets=["a"], conv_hidden=4, num_conv_layers=1, seed=0))
-    x, neighbors, atoms = PackedDataset(generate_graphs(ToySpec(num_molecules=3, seed=1))).take(
-        [0, 1, 2])
+    x, neighbors, atoms = pack_graphs(generate_graphs(ToySpec(num_molecules=3, seed=1)))
     with pytest.raises(ad.ShapeError):
         model.forward(x[:, :3], neighbors, atoms, mode="eval")
     assert ad._recording.on is True

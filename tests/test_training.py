@@ -362,6 +362,7 @@ FIVE_BOND_CARBON = {"id": "bad-carbon", "atoms": [{"element": "C"}] * 6,
 
 
 def test_train_featurizes_each_molecule_once(monkeypatch):
+    # each epoch packs each training molecule once, in its batch
     graphs = generate_graphs(ToySpec(num_molecules=20, seed=3))
     calls = []
     real = model_module.pack_graphs
@@ -371,13 +372,15 @@ def test_train_featurizes_each_molecule_once(monkeypatch):
         return real(packed)
 
     monkeypatch.setattr(model_module, "pack_graphs", counted)
+    monkeypatch.setattr(training, "pack_graphs", counted)
     model = init_model(ModelConfig(targets=["size"], conv_hidden=4, num_conv_layers=1, seed=0))
     train(model, graphs, toy_train_config(epochs=3, batch_size=6))
-    assert sorted(calls) == sorted(g.id for g in graphs)
+    assert [sorted(calls[k:k + 20]) for k in (0, 20, 40)] == [sorted(g.id for g in graphs)] * 3
+    assert len(calls) == 60
 
 
 def test_train_packs_each_molecule_once_validation_included(monkeypatch):
-    # the training set is packed once per train call, and each epoch's
+    # each training molecule is packed once per epoch, and each epoch's
     # validation MAE is that of evaluate_mae over the validation list
     graphs = generate_graphs(ToySpec(num_molecules=20, seed=3))
     val = generate_graphs(ToySpec(num_molecules=2 * model_module.SLICE + 1, seed=4))
@@ -390,10 +393,11 @@ def test_train_packs_each_molecule_once_validation_included(monkeypatch):
         return real(packed)
 
     monkeypatch.setattr(model_module, "pack_graphs", counted)
+    monkeypatch.setattr(training, "pack_graphs", counted)
     model, stats, history = train(init_model(cfg), graphs, toy_train_config(epochs=3, batch_size=6),
                                   val_graphs=val)
-    # the validation set is packed per eval slice in each of the 3 epochs
-    assert sorted(calls) == sorted([g.id for g in graphs] + [g.id for g in val] * 3)
+    # both sets are packed in each of the 3 epochs: training batches, then validation slices
+    assert sorted(calls) == sorted([g.id for g in graphs + val] * 3)
     monkeypatch.undo()
     assert len(history) == 3
     assert repr(history.val_mae[-1]) == repr(training.evaluate_mae(model, stats, val))
