@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .model import Model, eval_slices
-from .molecules import MolecularGraph
+from .molecules import MolecularGraph, brief_repr
 
 __all__ = [
     "AttributionTerm",
@@ -250,11 +250,11 @@ def fukui_compare(model: Model, graphs: list[MolecularGraph], target: str, polar
         raise ValueError("fukui_compare needs at least one molecule")
     for g in graphs:
         if g.fukui is None:
-            raise ValueError(f"molecule {g.id!r} carries no fukui data")
+            raise ValueError(f"molecule {brief_repr(g.id)} carries no fukui data")
         if g.num_atoms < 2:
-            raise ValueError(f"molecule {g.id!r} has fewer than 2 atoms")
+            raise ValueError(f"molecule {brief_repr(g.id)} has fewer than 2 atoms")
         if len({pair[column] for pair in g.fukui}) == 1:
-            raise ValueError(f"molecule {g.id!r} has the same {polarity} on every atom; "
+            raise ValueError(f"molecule {brief_repr(g.id)} has the same {polarity} on every atom; "
                              "rank correlation is undefined")
     per_molecule = [
         (g.id, rank_correlation(amap.atom_scores, [pair[column] for pair in g.fukui]))

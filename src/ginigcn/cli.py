@@ -40,7 +40,7 @@ from .model import (
     checkpoint_document,
     save_checkpoint,
 )
-from .molecules import load_dataset, parse_graph_file, format_graph_file
+from .molecules import brief_repr, load_dataset, parse_graph_file, format_graph_file
 from .toydata import ToySpec, generate_graphs
 from .training import TrainConfig, TrainingDivergence, cross_validate, multitask_loss, train
 
@@ -67,7 +67,7 @@ def _object(value, what: str) -> dict:
 
 def _path(value, what: str) -> Path:
     if not isinstance(value, (str, Path)):
-        raise TypeError(f"{what} must be a path string, got {value!r}")
+        raise TypeError(f"{what} must be a path string, got {brief_repr(value)}")
     return Path(value)
 
 

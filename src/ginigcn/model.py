@@ -23,7 +23,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .molecules import FEATURE_DIM, MolecularGraph, check_integer, finite_number, pack_graphs
+from .molecules import (FEATURE_DIM, MolecularGraph, brief_repr, check_integer, finite_number,
+                        pack_graphs)
 
 __all__ = [
     "ModelConfig",
@@ -77,7 +78,7 @@ class ModelConfig:
         if len(set(self.targets)) != len(self.targets):
             raise ValueError("target names must be unique")
         if self.variant not in (VARIANT_REFERENCE, VARIANT_EXPLAINABLE):
-            raise ValueError(f"unknown variant {self.variant!r}")
+            raise ValueError(f"unknown variant {brief_repr(self.variant)}")
         if self.num_conv_layers < 1:
             raise ValueError("at least one convolution layer is required")
         if self.conv_hidden < 1:
@@ -409,7 +410,7 @@ def model_from_document(doc: dict) -> Model:
         raise CheckpointError("checkpoint must be a JSON object")
     version = doc.get("format_version")
     if type(version) is not int or version != CHECKPOINT_FORMAT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint format_version {version!r}")
+        raise CheckpointError(f"unsupported checkpoint format_version {brief_repr(version)}")
     try:
         config = ModelConfig(**doc["config"])
     except (KeyError, TypeError, ValueError) as e:

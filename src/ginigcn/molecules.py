@@ -114,7 +114,7 @@ class MolecularGraph:
             codes = []
             for k, atom in enumerate(self.atoms):
                 if atom.element not in SUPPORTED_ELEMENTS:
-                    raise ValueError(f"unsupported element {atom.element!r}")
+                    raise ValueError(f"unsupported element {brief_repr(atom.element)}")
                 check_integer("implicit hydrogen count", atom.implicit_hydrogens)
                 if atom.implicit_hydrogens < 0:
                     raise ValueError("negative implicit hydrogen count")
@@ -122,17 +122,19 @@ class MolecularGraph:
                     raise ValueError(f"atom {k} implicit hydrogen count "
                                      f"{atom.implicit_hydrogens} > {_MAX_ONE_HOT}")
                 if not isinstance(atom.aromatic, bool):
-                    raise ValueError(f"aromatic must be true or false, got {atom.aromatic!r}")
+                    raise ValueError(
+                        f"aromatic must be true or false, got {brief_repr(atom.aromatic)}")
                 codes += (_ELEMENT_INDEX[atom.element],
                           _HYDROGEN_COLUMN + atom.implicit_hydrogens, atom.aromatic)
             if not isinstance(self.bonds, (list, tuple)):
-                raise ValueError(f"bonds must be a list of triples, got {self.bonds!r}")
+                raise ValueError(f"bonds must be a list of triples, got {brief_repr(self.bonds)}")
             seen = set()
             normalized = []
             ends = []
             for bond in self.bonds:
                 if not isinstance(bond, (list, tuple)) or len(bond) != 3:
-                    raise ValueError(f"bond must be an (i, j, order) triple, got {bond!r}")
+                    raise ValueError(
+                        f"bond must be an (i, j, order) triple, got {brief_repr(bond)}")
                 i, j, order = bond
                 check_integer("bond endpoint", i)
                 check_integer("bond endpoint", j)
@@ -142,7 +144,7 @@ class MolecularGraph:
                     raise ValueError("bond endpoints must be distinct")
                 # true == 1.0 == 1, so the kind is checked as well as the value
                 if order not in VALID_ORDERS or isinstance(order, (bool, float)):
-                    raise ValueError(f"invalid bond order {order!r}")
+                    raise ValueError(f"invalid bond order {brief_repr(order)}")
                 key = (min(i, j), max(i, j))
                 if key in seen:
                     raise ValueError(f"duplicate bond {key}")
@@ -158,8 +160,9 @@ class MolecularGraph:
                 raise ValueError(f"atom {k} degree {degrees[k]} > {_MAX_ONE_HOT}")
             targets = self.targets
             if not isinstance(targets, dict) or not all(isinstance(k, str) for k in targets):
-                raise ValueError(f"targets must map names to numbers, got {targets!r}")
-            self.targets = {k: finite_number(f"target {k!r}", v) for k, v in targets.items()}
+                raise ValueError(f"targets must map names to numbers, got {brief_repr(targets)}")
+            self.targets = {k: finite_number(f"target {brief_repr(k)}", v)
+                            for k, v in targets.items()}
             fukui = self.fukui
             if fukui is not None:
                 if not isinstance(fukui, (list, tuple)) or len(fukui) != n or any(
@@ -168,7 +171,7 @@ class MolecularGraph:
                 self.fukui = [(finite_number("fukui value", fm), finite_number("fukui value", fp))
                               for fm, fp in fukui]
         except ValueError as e:
-            raise MoleculeError(f"molecule {self.id!r}: {e}") from None
+            raise MoleculeError(f"molecule {brief_repr(self.id)}: {e}") from None
 
     @property
     def num_atoms(self) -> int:
@@ -187,16 +190,22 @@ class MolecularGraph:
         return np.bincount(self.bond_ends, minlength=len(self.atoms))
 
 
+def brief_repr(value) -> str:
+    """``repr(value)`` for an error message, cut after 60 characters and marked ``...``."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:60] + "..."
+
+
 def finite_number(name: str, value) -> float:
     """``value`` as a float; ValueError unless it is a finite real number, not a bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
+        raise ValueError(f"{name} must be a number, got {brief_repr(value)}")
     try:
         number = float(value)
     except OverflowError:  # an int beyond float range
         number = math.inf
     if not math.isfinite(number):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+        raise ValueError(f"{name} must be finite, got {brief_repr(value)}")
     return number
 
 
@@ -205,7 +214,7 @@ def check_integer(name: str, value) -> None:
     # The exact-int test first: the ABC check costs far more on this common case.
     if not (type(value) is int
             or isinstance(value, numbers.Integral) and not isinstance(value, bool)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {brief_repr(value)}")
 
 
 def _graph_from_record(rec) -> MolecularGraph:

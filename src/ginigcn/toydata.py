@@ -10,12 +10,13 @@ size counts heavy atoms, branch_count counts atoms of degree 3 or more.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .molecules import (Atom, MolecularGraph, STANDARD_VALENCE, check_integer, finite_number,
-                        format_graph_file)
+from .molecules import (Atom, MolecularGraph, STANDARD_VALENCE, brief_repr, check_integer,
+                        finite_number, format_graph_file)
 
 __all__ = ["ToySpec", "PLANTED_TARGETS", "generate", "generate_graphs", "planted_value"]
 
@@ -27,6 +28,8 @@ _ELEMENTS = ("C", "N", "O", "F")
 # from mean/max aggregations when sizes barely vary.
 _SIZE_OFFSETS = (0, 1, 2)
 _SIZE_WEIGHTS = (0.8, 0.15, 0.05)
+_RING_COUNTS = (0, 1, 2)
+_RING_WEIGHTS = (0.5, 0.3, 0.2)
 
 
 @dataclass
@@ -50,16 +53,14 @@ class ToySpec:
             raise ValueError("max_heavy_atoms must be at least 1")
         if not isinstance(self.element_weights, dict):
             raise ValueError(f"element_weights must map elements to weights, got "
-                             f"{self.element_weights!r}")
+                             f"{brief_repr(self.element_weights)}")
         unknown = set(self.element_weights) - set(_ELEMENTS)
         if unknown:
             raise ValueError(f"unsupported elements in weights: {sorted(unknown, key=repr)}")
-        weights = [finite_number(f"element weight {el!r}", w)
-                   for el, w in self.element_weights.items()]
-        if any(w < 0 for w in weights) or sum(weights) <= 0:
-            raise ValueError("element weights must be nonnegative and not all zero")
+        _element_cdf(self.element_weights)
         if isinstance(self.planted, str) or not isinstance(self.planted, (list, tuple)):
-            raise ValueError(f"planted must be a list of target names, got {self.planted!r}")
+            raise ValueError(
+                f"planted must be a list of target names, got {brief_repr(self.planted)}")
         # membership by ==, so an unhashable entry is named too, not a TypeError
         bad = sorted({repr(p) for p in self.planted if p not in PLANTED_TARGETS})
         if bad:
@@ -77,17 +78,49 @@ def planted_value(graph: MolecularGraph, name: str) -> float:
     raise ValueError(f"unknown planted target {name!r}")
 
 
-def _sample_size(rng: np.random.Generator, cap: int) -> int:
-    offset = int(rng.choice(_SIZE_OFFSETS, p=_SIZE_WEIGHTS))
-    return max(1, cap - offset)
+# Draws read the PCG64 stream exactly as ``Generator.choice`` would, without
+# its per-call checks: ``choice(a, p=p)`` is ``a[bisect_right(cdf, rng.random())]``
+# over the cdf it builds from ``p``, and ``choice(seq)`` is
+# ``seq[rng.integers(len(seq))]``. So every seed gives the same molecules.
+def _cdf(p) -> list[float]:
+    """The cumulative distribution ``Generator.choice(a, p=p)`` searches."""
+    cdf = np.cumsum(p, dtype=np.float64)
+    cdf /= cdf[-1]
+    return cdf.tolist()
 
 
-def _random_molecule(rng: np.random.Generator, spec: ToySpec, idx: int) -> MolecularGraph:
-    probs = np.array([spec.element_weights.get(el, 0.0) for el in _ELEMENTS])
-    probs = probs / probs.sum()
-    size = _sample_size(rng, spec.max_heavy_atoms)
+def _draw(rng: np.random.Generator, items, cdf: list[float]):
+    return items[bisect_right(cdf, rng.random())]
 
-    elements = [str(rng.choice(_ELEMENTS, p=probs))]
+
+_SIZE_CDF = _cdf(_SIZE_WEIGHTS)
+_RING_CDF = _cdf(_RING_WEIGHTS)
+
+
+def _element_cdf(weights: dict) -> list[float]:
+    """Check the element weights and return the cdf of the element draw.
+
+    The one check of the weights, for ``ToySpec`` and ``generate_graphs``
+    alike, so a spec edited after construction cannot sample garbage.
+    """
+    p = np.array([finite_number(f"element weight {el!r}", weights.get(el, 0.0))
+                  for el in _ELEMENTS])
+    if (p < 0).any():
+        raise ValueError("element weights must be nonnegative")
+    with np.errstate(over="ignore"):
+        total = p.sum()
+    if not np.isfinite(total):
+        raise ValueError("element weights must sum to a finite number")
+    if total == 0:
+        raise ValueError("element weights must not all be zero")
+    return _cdf(p / total)
+
+
+def _random_molecule(rng: np.random.Generator, spec: ToySpec, element_cdf: list[float],
+                     idx: int) -> MolecularGraph:
+    size = max(1, spec.max_heavy_atoms - _draw(rng, _SIZE_OFFSETS, _SIZE_CDF))
+
+    elements = [_draw(rng, _ELEMENTS, element_cdf)]
     free = [STANDARD_VALENCE[elements[0]]]
     bonds: list[tuple[int, int, object]] = []
     # Grow a tree: each new atom bonds to a uniformly chosen open site.
@@ -95,15 +128,15 @@ def _random_molecule(rng: np.random.Generator, spec: ToySpec, idx: int) -> Molec
         open_sites = [i for i, f in enumerate(free) if f > 0]
         if not open_sites:
             break  # saturated (e.g. an early F); the molecule just ends smaller
-        parent = int(rng.choice(open_sites))
-        el = str(rng.choice(_ELEMENTS, p=probs))
+        parent = open_sites[int(rng.integers(len(open_sites)))]
+        el = _draw(rng, _ELEMENTS, element_cdf)
         elements.append(el)
         free.append(STANDARD_VALENCE[el] - 1)
         free[parent] -= 1
         bonds.append((parent, len(elements) - 1))
     # Occasional ring closures between non-adjacent open sites.
     bonded = {(min(i, j), max(i, j)) for i, j in bonds}
-    for _ in range(int(rng.choice([0, 1, 2], p=[0.5, 0.3, 0.2]))):
+    for _ in range(_draw(rng, _RING_COUNTS, _RING_CDF)):
         open_sites = [i for i, f in enumerate(free) if f > 0]
         candidates = [
             (i, j)
@@ -134,8 +167,9 @@ def _random_molecule(rng: np.random.Generator, spec: ToySpec, idx: int) -> Molec
 
 def generate_graphs(spec: ToySpec) -> list[MolecularGraph]:
     """Generate the molecules as graph objects (deterministic per seed)."""
+    element_cdf = _element_cdf(spec.element_weights)
     rng = np.random.default_rng(spec.seed)
-    return [_random_molecule(rng, spec, idx) for idx in range(spec.num_molecules)]
+    return [_random_molecule(rng, spec, element_cdf, idx) for idx in range(spec.num_molecules)]
 
 
 def generate(spec: ToySpec) -> str:

@@ -18,7 +18,8 @@ import numpy as np
 from . import autodiff as ad
 from .gini import GiniConfig, RegularizerReport, regularized_loss
 from .model import Model, ModelConfig, init_model, slice_bounds
-from .molecules import MolecularGraph, check_integer, finite_number, kfold_split, pack_graphs
+from .molecules import (MolecularGraph, brief_repr, check_integer, finite_number, kfold_split,
+                        pack_graphs)
 
 __all__ = [
     "TrainConfig",
@@ -110,18 +111,20 @@ class TargetStats:
             raise ValueError("target stats must be a JSON object")
         version = doc.get("format_version")
         if type(version) is not int or version != 1:
-            raise ValueError(f"unsupported target stats format_version {version!r}")
+            raise ValueError(f"unsupported target stats format_version {brief_repr(version)}")
         names, targets = doc.get("order"), doc.get("targets")
         if not isinstance(names, list) or not isinstance(targets, dict) \
                 or sorted(names, key=str) != sorted(targets):
-            raise ValueError(f"target stats 'order' {names!r} must name each key of 'targets' once")
+            raise ValueError(f"target stats 'order' {brief_repr(names)} must name each key of "
+                             "'targets' once")
         mean, std = [], []
         for name in names:
             entry = targets[name] if isinstance(targets[name], dict) else {}
-            mean.append(finite_number(f"target {name!r} mean", entry.get("mean")))
-            std.append(finite_number(f"target {name!r} std", entry.get("std")))
+            shown = brief_repr(name)
+            mean.append(finite_number(f"target {shown} mean", entry.get("mean")))
+            std.append(finite_number(f"target {shown} std", entry.get("std")))
             if std[-1] <= 0:
-                raise ValueError(f"target {name!r} std must be positive, got {std[-1]!r}")
+                raise ValueError(f"target {shown} std must be positive, got {std[-1]!r}")
         return cls(names=names, mean=np.array(mean), std=np.array(std))
 
 

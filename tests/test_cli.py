@@ -633,6 +633,29 @@ def test_explain_null_dataset_value_exits_1(tmp_path, capsys, field):
     assert err.startswith("error: line 1: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("field", ["target", "implicit_h", "id"])
+def test_explain_error_line_cuts_a_long_value(tmp_path, capsys, field):
+    # each of these once echoed the whole million-character value
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(json.dumps(untrained_checkpoint()))
+    long = "x" * 1_000_000
+    record = {"id": "m", "atoms": [{"element": "C"}], "targets": {"size": 1}}
+    if field == "target":
+        record["targets"]["size"] = long
+    elif field == "implicit_h":
+        record["atoms"][0]["implicit_h"] = long
+    else:
+        record.update(id=long, atoms=[{"element": "Xe"}])
+    dataset = tmp_path / "data.jsonl"
+    dataset.write_text(json.dumps(record) + "\n")
+    code = main(["explain", "--checkpoint", str(ckpt), "--dataset", str(dataset),
+                 "--target", "size"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1: molecule ") and err.count("\n") == 1
+    assert len(err.encode()) < 300 and "xxx..." in err
+
+
 @pytest.mark.parametrize("case", ["config_dir", "dataset_dir_in_config", "checkpoint_dir",
                                   "explain_dataset_dir", "train_out_file", "explain_out_file",
                                   "gini_report_out_file", "config_list", "config_model_number",
@@ -694,3 +717,13 @@ def test_config_path_field_of_wrong_type_is_named(workspace, capsys, field):
     assert main(["train", "--config", str(config_path)]) == 1
     err = capsys.readouterr().err
     assert err == f"error: invalid config: '{field}' must be a path string, got 5\n"
+
+
+def test_config_error_cuts_a_long_value(workspace, capsys):
+    # a 200,000-entry list once made a 600 KB error line
+    _, config_path, config = workspace
+    rewrite(config_path, {**config, "dataset": [0] * 200_000})
+    assert main(["train", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: invalid config: 'dataset' must be a path string, got " + \
+        repr([0] * 30)[:60] + "...\n"

@@ -88,8 +88,11 @@ def test_target_stats_document_round_trip():
     (lambda d: [], "target stats must be a JSON object"),
     (lambda d: d.update(format_version=2), "unsupported target stats format_version 2"),
     (lambda d: d.update(format_version=True), "unsupported target stats format_version True"),
+    (lambda d: {**d, "order": ["x" * 1000, "b"],
+                "targets": {"x" * 1000: {"mean": "1", "std": 1.0}, "b": d["targets"]["b"]}},
+     "^target '" + "x" * 59 + r"\.\.\. mean must be a number, got '1'$"),
 ], ids=["zero-std", "negative-std", "boolean-mean", "string-mean", "repeated-order",
-        "not-an-object", "version-2", "boolean-version"])
+        "not-an-object", "version-2", "boolean-version", "long-name"])
 def test_target_stats_document_rejects_bad_values(edit, message):
     doc = TargetStats(names=["a", "b"], mean=np.array([1.5, -2.0]),
                       std=np.array([0.5, 3.0])).to_dict()
