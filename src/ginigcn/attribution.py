@@ -11,8 +11,9 @@ minus the bias (the completeness axiom of Sundararajan et al. 2017).
 :func:`atom_maps` is the one attribution path: one
 :func:`ginigcn.molecules.pack_graphs` call, one eval forward pass and one
 weight product for many molecules and targets, with the same bits as one
-molecule at a time (each prediction is the molecule's own fingerprint row
-times the output weights plus the bias). Callers that map a
+molecule at a time from 4 conv channels up (see :func:`atom_maps`; each
+prediction is the molecule's own fingerprint row times the output weights
+plus the bias). Callers that map a
 whole dataset take it in :func:`ginigcn.model.eval_slices`, the slices of
 ``model.SLICE`` molecules that ``Model.predict`` also runs, which keeps the
 same bits and bounds memory by one slice's forward pass and maps. A
@@ -107,6 +108,12 @@ def atom_maps(model: Model, graphs: list[MolecularGraph],
     receives w_i * tanh(m_i) * x_ki / (n * m_i) of every mean-block term, and
     nothing when m_i = 0 (then every x_ki and the term are 0). Every max-block
     term goes whole to the lowest-index atom attaining the channel maximum.
+
+    Each map carries the bits of a forward pass over its molecule alone where
+    the conv products take BLAS's matrix kernel. With single-threaded OpenBLAS
+    on AVX-512 that is from 4 conv channels up. A product with 1-3 output
+    columns rounds a row differently depending on the rows around it, so at
+    ``conv_hidden`` 1-3 some maps differ from a one-molecule pass.
     """
     cols = _columns(model, targets)
     if not graphs or not targets:

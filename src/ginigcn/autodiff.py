@@ -477,9 +477,14 @@ def _conv_buffers(arena, h: np.ndarray, d_out: int):
 def conv(h, table, weight, bias, state: "BatchNormState", mode: str, arena=None) -> Node:
     """One graph convolution ``relu(batch_norm(linear(neighbor_sum(h, table), weight, bias)))``.
 
-    One node in place of those four, with the same IEEE operations in the
-    same order, so the same bits, the same running-statistics update in
-    train mode and the same gradients for h, weight, bias, gamma and beta.
+    One node in place of those four. Train mode and passes under the tape
+    run the same IEEE operations in the same order, so the same bits, the
+    same running-statistics update in train mode and the same gradients for
+    h, weight, bias, gamma and beta. An eval pass with the tape off folds
+    the bias and batch norm into one scale and shift per channel,
+    ``scale = gamma / sqrt(running_var + epsilon)`` and ``shift = (bias -
+    running_mean) * scale + beta``, applied to the product: rounded
+    differently from the composite, so close to its values but not its bits.
     The affine map, the normalization and the ReLU run in place on one
     array. Shapes are checked before any work. With a table whose row i is
     ``[i]``, the slot sum copies ``h``: a dense layer with batch norm and ReLU.
@@ -514,6 +519,15 @@ def conv(h, table, weight, bias, state: "BatchNormState", mode: str, arena=None)
     padded, agg, scratch, out = _conv_buffers(arena, h.value, d_out)
     agg = _slots(padded, table, agg, scratch)
     xhat = np.matmul(agg, weight.value, out=out)
+    if mode == "eval" and not taped:
+        # Batch norm at fixed statistics and the bias fold into one scale and
+        # one shift per channel: two passes over the product in place of five.
+        scale = gamma.value / np.sqrt(state.running_var + state.epsilon)
+        xhat *= scale
+        xhat += (bias.value - state.running_mean) * scale + beta.value
+        np.fmax(xhat, 0.0, out=xhat)  # relu; NaN -> 0
+        xhat += 0.0  # fmax(-0.0, 0.0) may be -0.0; this makes it +0.0
+        return Node(xhat)
     xhat += bias.value
     if mode == "train":
         # ndarray.mean and .var in one pass over the centred xhat: var's own

@@ -449,9 +449,10 @@ def model_from_document(doc: dict) -> Model:
 
 
 def save_checkpoint(model: Model, path) -> None:
+    # json.dumps runs the C encoder; json.dump to a file runs the Python one
+    text = json.dumps(checkpoint_document(model)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(checkpoint_document(model), fh)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_checkpoint(path) -> Model:

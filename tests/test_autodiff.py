@@ -344,22 +344,84 @@ def test_conv_running_statistics_match_ndarray_var(n):
     assert state.running_var.tobytes() == want_var.tobytes()
 
 
+def folded_eval_conv(h, table, v, epsilon=1e-5):
+    """ad.conv in eval mode with the tape off, in numpy: the slot sum and the
+    product, then the bias and batch norm as one scale and one shift per channel.
+
+    Also returns the magnitude of the terms both roundings add up, per entry:
+    ``(|product| + |bias| + |running_mean|) * |scale| + |beta|``.
+    """
+    padded = np.vstack([h, np.zeros((1, h.shape[1]))])
+    agg = padded[table[:, 0]]
+    for slot in table.T[1:]:
+        agg += padded[slot]
+    product = agg @ v["weight"]
+    scale = v["gamma"] / np.sqrt(v["var"] + epsilon)
+    out = product * scale
+    out += (v["bias"] - v["mean"]) * scale + v["beta"]
+    out = np.fmax(out, 0.0) + 0.0
+    terms = (np.abs(product) + np.abs(v["bias"]) + np.abs(v["mean"])) * np.abs(scale)
+    return out, terms + np.abs(v["beta"])
+
+
+# The composite rounds (x + bias - mean) * inv * gamma + beta in six steps, the
+# fold x * scale + ((bias - mean) * scale + beta) in seven, each off by at most
+# half an ulp of the terms' magnitude; 12 ulps of it holds both sides' first-order
+# error. Over 400 random convs (n < 140, widths < 20) the largest seen was 2.6.
+FOLD_ULPS = 12
+
+
+def assert_within_folding_error(got, composite, terms):
+    assert np.all(np.abs(got - composite) <= FOLD_ULPS * np.finfo(float).eps * terms)
+
+
+@pytest.mark.parametrize("in_arena", [False, True], ids=["no-arena", "arena"])
+@pytest.mark.parametrize("n, rows", [(5, "bonds"), (23, "bonds"), (128, "self"), (129, "self")],
+                         ids=["5", "23", "self-128", "self-129"])
+def test_untaped_eval_conv_is_the_folded_formula(n, rows, in_arena):
+    rng = np.random.default_rng(5)
+    v = conv_operands(rng, n)
+    table = random_neighbor_table(rng, n) if rows == "bonds" else np.arange(n)[:, None]
+    want, terms = folded_eval_conv(v["h"], table, v)
+    h, w, b = (ad.constant(v[k]) for k in ("h", "weight", "bias"))
+    previous = ad._set_recording(False)
+    try:
+        composite = composite_conv(h, table, w, b, conv_state(v, ad.constant), "eval").value
+        arena = np.empty(3 * (n + 1) * 6) if in_arena else None
+        got = ad.conv(h, table, w, b, conv_state(v, ad.constant), "eval", arena).value
+    finally:
+        ad._set_recording(previous)
+    assert (want == 0.0).any() and (want > 0.0).any()
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert_within_folding_error(got, composite, terms)
+
+
 def test_conv_chain_in_one_arena_matches_the_composite():
     # eval with the tape off: each conv's output overlays its padded input in
-    # the arena, where the next conv reads it
+    # the arena, where the next conv reads it. Each conv is the folded formula
+    # bit for bit, and within the folding error of the composite over the same
+    # input; the whole chain stays within 64 ulps of the composite chain's
+    # largest value (1.1 measured here, 16 the most over 400 random three-conv
+    # chains).
     rng = np.random.default_rng(8)
     first, second = conv_operands(rng, 17, 4, 6), conv_operands(rng, 17, 6, 6)
     table = random_neighbor_table(rng, 17)
     arena = np.empty(3 * 18 * 6)
     previous = ad._set_recording(False)
     try:
-        want = got = ad.constant(first["h"])
+        chain = got = ad.constant(first["h"])
         for v in (first, second):
             w, b = ad.constant(v["weight"]), ad.constant(v["bias"])
-            want = composite_conv(want, table, w, b, conv_state(v, ad.constant), "eval")
+            folded, terms = folded_eval_conv(got.value, table, v)
+            composite = composite_conv(got, table, w, b, conv_state(v, ad.constant), "eval")
+            chain = composite_conv(chain, table, w, b, conv_state(v, ad.constant), "eval")
             got = ad.conv(got, table, w, b, conv_state(v, ad.constant), "eval", arena)
             assert np.shares_memory(got.value, arena)
-            assert got.value.tobytes() == want.value.tobytes()
+            assert got.value.tobytes() == folded.tobytes()
+            assert_within_folding_error(got.value, composite.value, terms)
+        error = np.abs(got.value - chain.value).max()
+        assert error <= 64 * np.finfo(float).eps * np.abs(chain.value).max()
     finally:
         ad._set_recording(previous)
 
